@@ -36,6 +36,7 @@ void MustRun(DurableSession* s, const std::string& text, bool sync_each) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  mct::bench::CheckArgs(argc, argv, {"--scale="});
   double scale = mct::bench::ScaleFromArgs(argc, argv, 0.1);
   int n = static_cast<int>(1000 * scale);
   if (n < 10) n = 10;

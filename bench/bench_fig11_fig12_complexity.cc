@@ -32,7 +32,8 @@ mct::mcx::QueryComplexity Analyze(const std::string& text) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  mct::bench::CheckArgs(argc, argv, {});
   TpcwData data = GenerateTpcw(TpcwScale::Tiny());
   auto catalog = TpcwCatalog(data);
 

@@ -255,6 +255,8 @@ int RunShardSweep(double base, bool check) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  mct::bench::CheckArgs(argc, argv, {"--scale=", "--shards", "--check",
+                                     "--trace"});
   double base = mct::bench::ScaleFromArgs(argc, argv, 0.1);
   if (mct::bench::HasFlag(argc, argv, "--shards")) {
     return RunShardSweep(base, mct::bench::HasFlag(argc, argv, "--check"));

@@ -78,6 +78,7 @@ void RunDataset(const char* name, MctDatabase* db) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  mct::bench::CheckArgs(argc, argv, {"--scale="});
   double scale = mct::bench::ScaleFromArgs(argc, argv, 0.1);
   std::printf("=== Serialization (Section 5 / E9) ===\n\n");
 

@@ -99,6 +99,7 @@ void ReaderLoop(serve::ColorServer* server,
 }
 
 int Main(int argc, char** argv) {
+  CheckArgs(argc, argv, {"--scale=", "--check", "--overload"});
   double scale = ScaleFromArgs(argc, argv);
   bool check = HasFlag(argc, argv, "--check");
   bool overload = HasFlag(argc, argv, "--overload");

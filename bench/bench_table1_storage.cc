@@ -31,6 +31,7 @@ void Report(const char* dataset, SchemaKind kind, const DatabaseStats& s,
 }  // namespace
 
 int main(int argc, char** argv) {
+  mct::bench::CheckArgs(argc, argv, {"--scale="});
   double scale = mct::bench::ScaleFromArgs(argc, argv);
   std::printf("=== Table 1: Storage Requirement ===\n");
   std::printf("(scale factor %.3g; see EXPERIMENTS.md E1)\n\n", scale);

@@ -47,6 +47,12 @@ class TraceGroup {
 
   bool enabled() const { return node_ != nullptr; }
   query::OpTrace* node() { return node_; }
+  /// Records the bindings entering and leaving the group.
+  void SetRows(size_t in, size_t out) {
+    if (node_ == nullptr) return;
+    node_->rows_in = in;
+    node_->rows_out = out;
+  }
 
  private:
   query::QueryTrace* t_ = nullptr;
@@ -771,16 +777,9 @@ Result<std::vector<Item>> Evaluator::EvalFLWOR(const Expr& flwor,
     std::vector<uint32_t> order;
     order.reserve(n_rows);
     for (const auto& [_, i] : keyed) order.push_back(i);
-    if (exec_.batch) {
-      // The permutation becomes the selection vector: an O(rows) reorder
-      // with zero cell copies.
-      b.table.KeepRows(std::move(order));
-    } else {
-      Table sorted = query::Table::WithVars(b.table.vars);
-      sorted.Reserve(n_rows);
-      for (uint32_t i : order) sorted.AppendRow(b.table.RowAt(i));
-      b.table = std::move(sorted);
-    }
+    // The permutation becomes the selection vector: an O(rows) reorder
+    // with zero cell copies.
+    b.table.KeepRows(std::move(order));
     if (exec_.trace != nullptr) {
       query::OpTrace* n = exec_.trace->Leaf("ORDER BY");
       n->rows_in = n->rows_out = n_rows;
@@ -893,9 +892,11 @@ Result<Evaluator::Bindings> Evaluator::EvalFLWORBindings(
         if (g.enabled() && bplan != nullptr && bplan->est_rows >= 0) {
           g.node()->est_rows = bplan->est_rows;
         }
+        const size_t rows_in = acc.table.num_rows();
         MCT_ASSIGN_OR_RETURN(
             acc, EvalSteps(std::move(acc), col, path.steps, binding.var, env,
                            bplan));
+        g.SetRows(rows_in, acc.table.num_rows());
       } else if (env.contains(path.start_var)) {
         // Correlated with an *outer* FLWOR variable: seed from the env.
         const Item& outer = env.at(path.start_var);
@@ -910,6 +911,7 @@ Result<Evaluator::Bindings> Evaluator::EvalFLWORBindings(
           TraceGroup g(exec_.trace, "FOR", binding.var);
           MCT_ASSIGN_OR_RETURN(
               tb, EvalSteps(std::move(base), 0, path.steps, binding.var, env));
+          g.SetRows(1, tb.table.num_rows());
         }
         int keep = tb.table.ColumnOf(binding.var);
         tb.table = query::Project(tb.table, {keep});
@@ -955,10 +957,12 @@ Result<Evaluator::Bindings> Evaluator::EvalFLWORBindings(
           if (g.enabled() && bplan != nullptr && bplan->est_rows >= 0) {
             g.node()->est_rows = bplan->est_rows;
           }
+          const size_t rows_in = seeded.table.num_rows();
           MCT_ASSIGN_OR_RETURN(
               acc,
               EvalSteps(std::move(seeded), doc_col, path.steps, binding.var,
                         env, bplan));
+          g.SetRows(rows_in, acc.table.num_rows());
         }
         // Drop the #doc helper column.
         std::vector<int> keep_cols;
@@ -989,6 +993,7 @@ Result<Evaluator::Bindings> Evaluator::EvalFLWORBindings(
         MCT_ASSIGN_OR_RETURN(
             tb, EvalSteps(std::move(base), 0, path.steps, binding.var, env,
                           bplan));
+        g.SetRows(1, tb.table.num_rows());
       }
       int keep = tb.table.ColumnOf(binding.var);
       tb.table = query::Project(tb.table, {keep});
@@ -1056,14 +1061,7 @@ Result<Evaluator::Bindings> Evaluator::EvalFLWORBindings(
         n->rows_in = rows_in;
         n->rows_out = keep.size();
       }
-      if (exec_.batch) {
-        acc.table.KeepRows(std::move(keep));
-      } else {
-        Table dedup = Table::WithVars(acc.table.vars);
-        dedup.Reserve(keep.size());
-        for (uint32_t i : keep) dedup.AppendRow(acc.table.RowAt(i));
-        acc.table = std::move(dedup);
-      }
+      acc.table.KeepRows(std::move(keep));
       acc.cols[static_cast<size_t>(col)].atomic = true;
     }
   }
@@ -1217,18 +1215,9 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
             self_idx.push_back(static_cast<uint32_t>(i));
           }
         }
-        if (ctx.batch) {
-          query::Table::GatherInto(in.table, self_idx, &next, 0);
-          auto& node_col = next.cols.back();
-          for (uint32_t i : self_idx) node_col.push_back(in.table.At(i, cur));
-        } else {
-          next.Reserve(next.num_rows() + self_idx.size());
-          for (uint32_t i : self_idx) {
-            std::vector<NodeId> copy = in.table.RowAt(i);
-            copy.push_back(in.table.At(i, cur));
-            next.AppendRow(copy);
-          }
-        }
+        query::Table::GatherInto(in.table, self_idx, &next, 0);
+        auto& node_col = next.cols.back();
+        for (uint32_t i : self_idx) node_col.push_back(in.table.At(i, cur));
         // The descendant expansion above already closed its trace record;
         // account for the self rows merged in afterwards so the per-group
         // row chain stays consistent.
@@ -1367,14 +1356,7 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
           n->rows_out = keep.size();
           n->seconds = SecondsSince(pred_t0);
         }
-        if (exec_.batch) {
-          in.table.KeepRows(std::move(keep));
-        } else {
-          Table filtered = Table::WithVars(in.table.vars);
-          filtered.Reserve(keep.size());
-          for (uint32_t r : keep) filtered.AppendRow(in.table.RowAt(r));
-          in.table = std::move(filtered);
-        }
+        in.table.KeepRows(std::move(keep));
         continue;
       }
       // Index-backed fast path for string-literal equality predicates —
@@ -1443,11 +1425,9 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
         // through the generic Item machinery on every row; this hoists all
         // of that out of the loop. Only exact interpreter equivalents
         // qualify (single relative step, no step predicates, atomic literal
-        // rhs — the node-identity branch of EvalBool cannot trigger), and
-        // the legacy arm keeps the interpreter, so the --batch A/B measures
-        // the batch discipline.
+        // rhs — the node-identity branch of EvalBool cannot trigger).
         bool fast = false;
-        if (exec_.batch && pred->kind == Expr::Kind::kCompare &&
+        if (pred->kind == Expr::Kind::kCompare &&
             (pred->children[1]->kind == Expr::Kind::kString ||
              pred->children[1]->kind == Expr::Kind::kNumber) &&
             pred->children[0]->kind == Expr::Kind::kPath) {
@@ -1552,14 +1532,7 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
           tn->seconds = SecondsSince(pred_t0);
         }
       }
-      if (exec_.batch) {
-        in.table.KeepRows(std::move(keep));
-      } else {
-        Table filtered = Table::WithVars(in.table.vars);
-        filtered.Reserve(keep.size());
-        for (uint32_t i : keep) filtered.AppendRow(in.table.RowAt(i));
-        in.table = std::move(filtered);
-      }
+      in.table.KeepRows(std::move(keep));
     }
     if (exec_.trace != nullptr && sp != nullptr && sp->est_out >= 0 &&
         !step.predicates.empty()) {
@@ -1756,8 +1729,7 @@ Result<Evaluator::Bindings> Evaluator::JoinIn(Bindings left, Bindings right,
   };
 
   // Matching (left row, right row) index pairs in emission order; the
-  // output is materialized once at the end — per-column gathers under
-  // vectorized execution, per-row copies in legacy mode.
+  // output is materialized once at the end with per-column gathers.
   std::vector<uint32_t> li, ri;
   auto emit = [&](size_t l, size_t r) {
     li.push_back(static_cast<uint32_t>(l));
@@ -1772,21 +1744,9 @@ Result<Evaluator::Bindings> Evaluator::JoinIn(Bindings left, Bindings right,
           ((left.table.num_cols() + right.table.num_cols()) * sizeof(NodeId) +
            2 * sizeof(uint32_t))));
     }
-    if (exec_.batch) {
-      query::Table::GatherInto(left.table, li, &out.table, 0);
-      query::Table::GatherInto(right.table, ri, &out.table,
-                               left.table.num_cols());
-    } else {
-      const size_t rc = right.table.num_cols();
-      out.table.Reserve(li.size());
-      for (size_t k = 0; k < li.size(); ++k) {
-        std::vector<NodeId> row = left.table.RowAt(li[k]);
-        for (size_t j = 0; j < rc; ++j) {
-          row.push_back(right.table.At(ri[k], static_cast<int>(j)));
-        }
-        out.table.AppendRow(row);
-      }
-    }
+    query::Table::GatherInto(left.table, li, &out.table, 0);
+    query::Table::GatherInto(right.table, ri, &out.table,
+                             left.table.num_cols());
     return Status::OK();
   };
 
@@ -2004,14 +1964,7 @@ Status Evaluator::ApplyResidual(Bindings* b, const Expr& conjunct,
     tn->rows_out = keep.size();
     tn->seconds = SecondsSince(t0);
   }
-  if (exec_.batch) {
-    b->table.KeepRows(std::move(keep));
-  } else {
-    Table filtered = Table::WithVars(b->table.vars);
-    filtered.Reserve(keep.size());
-    for (uint32_t i : keep) filtered.AppendRow(b->table.RowAt(i));
-    b->table = std::move(filtered);
-  }
+  b->table.KeepRows(std::move(keep));
   return Status::OK();
 }
 
@@ -2053,7 +2006,7 @@ Result<std::vector<Item>> Evaluator::EvalRelPath(NodeId ctx,
       return ResolveColor(step.color);
     }());
     // Same hard guarantee as EvalSteps: navigation into a read-invisible
-    // color yields nothing (this is the row-at-a-time path predicates and
+    // color yields nothing (this is the per-node path predicates and
     // update selectors run through).
     if (exec_.mask != nullptr && !exec_.mask->CanRead(color)) {
       cur.clear();

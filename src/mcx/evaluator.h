@@ -109,11 +109,6 @@ struct EvalOptions {
   /// Rows per morsel for parallel operators; inputs at or below this size
   /// run serially regardless of num_threads.
   size_t morsel_size = 1024;
-  /// Vectorized (batch) operator execution (ExecContext::batch). false
-  /// routes the physical operators through their retained row-at-a-time
-  /// paths — the pre-columnar cost profile — for A/B measurement; results
-  /// are identical either way.
-  bool vectorized = true;
   /// When set, every successfully applied update statement is appended to
   /// this write-ahead log as a logical redo record (canonical statement
   /// text, replayable by RecoverDatabase) before Run returns.
@@ -186,7 +181,6 @@ class Evaluator {
                   ? std::make_unique<ThreadPool>(opts.num_threads)
                   : nullptr),
         exec_(opts.stats, pool_.get(), opts.morsel_size, opts.trace) {
-    exec_.batch = opts.vectorized;
     if (opts_.cancel_token != nullptr || opts_.deadline.has_value() ||
         opts_.memory_budget != nullptr) {
       governor_ = std::make_unique<ResourceGovernor>(

@@ -135,8 +135,8 @@ struct Table {
     cols.push_back(std::move(data));
   }
 
-  /// Appends one row (cell per column). Precondition: dense(). Row-at-a-
-  /// time shape: the vectorized paths use gathers instead.
+  /// Appends one row (cell per column). Precondition: dense(). For literal
+  /// setups and path-solution emission; operators use gathers instead.
   void AppendRow(const std::vector<NodeId>& row) {
     assert(dense() && row.size() == cols.size());
     for (size_t j = 0; j < cols.size(); ++j) cols[j].push_back(row[j]);
@@ -196,8 +196,7 @@ struct Table {
     }
   }
 
-  /// One logical row materialized as a vector (legacy row-at-a-time paths
-  /// and tests).
+  /// One logical row materialized as a vector (tests and ToRows()).
   std::vector<NodeId> RowAt(size_t row) const {
     std::vector<NodeId> r;
     r.reserve(cols.size());
@@ -270,13 +269,6 @@ struct ExecContext {
   /// sticky status first) and large materializations are charged to the
   /// budget before they grow.
   ResourceGovernor* governor = nullptr;
-  /// Vectorized (batch) execution: operators emit (row index, value) pairs
-  /// into column chunks and materialize output with per-column gathers;
-  /// filters flip selection vectors. false routes the hot operators
-  /// through the retained row-at-a-time paths, which re-materialize one
-  /// row vector per tuple — the pre-columnar cost profile the --batch A/B
-  /// benchmark compares against. Results are identical either way.
-  bool batch = true;
   /// Session color visibility mask (mct/color.h, DESIGN.md §16): the
   /// defense-in-depth backstop below the analyzer and the evaluator's own
   /// per-step filtering. Color-parameterized operators asked to expand

@@ -377,50 +377,32 @@ Result<Table> TwigStackJoin(MctDatabase* db, ColorId color,
       merged_vars.push_back(right.vars[static_cast<size_t>(c)]);
     }
     Table merged = Table::WithVars(std::move(merged_vars));
-    if (ctx.batch) {
-      // Collect matching (acc row, right row) pairs, then materialize both
-      // sides with column-at-a-time gathers.
-      std::vector<uint32_t> li, ri;
-      for (size_t i = 0; i < acc.num_rows(); ++i) {
-        if (ctx.governor != nullptr && (i & 1023) == 0) {
-          MCT_RETURN_IF_ERROR(ctx.governor->Check());
-        }
-        auto it = ht.find(key_of(acc, i, shared_l));
-        if (it == ht.end()) continue;
-        for (uint32_t r : it->second) {
-          li.push_back(static_cast<uint32_t>(i));
-          ri.push_back(r);
-        }
+    // Collect matching (acc row, right row) pairs, then materialize both
+    // sides with column-at-a-time gathers.
+    std::vector<uint32_t> li, ri;
+    for (size_t i = 0; i < acc.num_rows(); ++i) {
+      if (ctx.governor != nullptr && (i & 1023) == 0) {
+        MCT_RETURN_IF_ERROR(ctx.governor->Check());
       }
-      const size_t acc_cols = acc.num_cols();
-      // Merged output buffers (Table::GatherInto has no ExecContext, so
-      // the charge happens here).
-      if (ctx.governor != nullptr) {
-        MCT_RETURN_IF_ERROR(ctx.governor->Charge(
-            li.size() * merged.num_cols() * sizeof(NodeId)));
-      }
-      Table::GatherInto(acc, li, &merged, 0);
-      // Project the right side down to its extra columns first (a column
-      // move, no cell copies), so the gather touches only those.
-      Table rex = Project(std::move(right), extra_r);
-      Table::GatherInto(rex, ri, &merged, acc_cols);
-    } else {
-      for (size_t i = 0; i < acc.num_rows(); ++i) {
-        if (ctx.governor != nullptr && (i & 1023) == 0) {
-          MCT_RETURN_IF_ERROR(ctx.governor->Check());
-        }
-        auto it = ht.find(key_of(acc, i, shared_l));
-        if (it == ht.end()) continue;
-        std::vector<NodeId> lrow = acc.RowAt(i);
-        for (uint32_t ri : it->second) {
-          std::vector<NodeId> row = lrow;
-          for (int c : extra_r) {
-            row.push_back(right.At(ri, c));
-          }
-          merged.AppendRow(row);
-        }
+      auto it = ht.find(key_of(acc, i, shared_l));
+      if (it == ht.end()) continue;
+      for (uint32_t r : it->second) {
+        li.push_back(static_cast<uint32_t>(i));
+        ri.push_back(r);
       }
     }
+    const size_t acc_cols = acc.num_cols();
+    // Merged output buffers (Table::GatherInto has no ExecContext, so
+    // the charge happens here).
+    if (ctx.governor != nullptr) {
+      MCT_RETURN_IF_ERROR(ctx.governor->Charge(
+          li.size() * merged.num_cols() * sizeof(NodeId)));
+    }
+    Table::GatherInto(acc, li, &merged, 0);
+    // Project the right side down to its extra columns first (a column
+    // move, no cell copies), so the gather touches only those.
+    Table rex = Project(std::move(right), extra_r);
+    Table::GatherInto(rex, ri, &merged, acc_cols);
     acc = std::move(merged);
   }
   // Normalize column order to pattern index order.

@@ -39,7 +39,6 @@ Result<mcx::QueryResult> RunWith(MctDatabase* db, ColorId default_color,
                                  query::PlanCache* cache = nullptr,
                                  std::vector<std::string>* plan_notes = nullptr,
                                  query::QueryTrace* trace = nullptr,
-                                 bool vectorized = true,
                                  query::ExecStats* stats = nullptr) {
   mcx::EvalOptions o;
   o.default_color = default_color;
@@ -48,7 +47,6 @@ Result<mcx::QueryResult> RunWith(MctDatabase* db, ColorId default_color,
   o.plan_cache = cache;
   o.plan = plan_notes;
   o.trace = trace;
-  o.vectorized = vectorized;
   o.stats = stats;
   mcx::Evaluator ev(db, o);
   return ev.Run(text);
@@ -91,8 +89,41 @@ std::vector<Dialect> DialectsOf(const CatalogQuery& q, DbT* mct_db,
   return out;
 }
 
-// ---- Differential suite: every catalog read statement, planner on vs
-// ---- forced baseline, serial and 8 threads.
+// ---- Differential suite: every catalog read statement, every dialect,
+// ---- planner on/off x threads {1, 8}, against one oracle: the unplanned
+// ---- serial run (items for every arm, ExecStats for the unplanned ones).
+
+template <typename DbT>
+void ReadDifferential(const std::vector<CatalogQuery>& queries, DbT* mct_db,
+                      DbT* shallow_db, DbT* deep_db) {
+  for (const CatalogQuery& q : queries) {
+    if (q.is_update) continue;
+    for (const Dialect& d : DialectsOf(q, mct_db, shallow_db, deep_db)) {
+      query::ExecStats oracle_stats;
+      auto oracle = RunWith(d.db, d.color, *d.text, /*planner=*/false, 1,
+                            nullptr, nullptr, nullptr, &oracle_stats);
+      ASSERT_TRUE(oracle.ok()) << q.id << "/" << d.name << ": "
+                               << oracle.status();
+      for (int threads : kThreadCounts) {
+        for (bool planner : {false, true}) {
+          std::string label = q.id + "/" + d.name + "/t" +
+                              std::to_string(threads) +
+                              (planner ? "/planned" : "/base");
+          query::ExecStats stats;
+          auto got = RunWith(d.db, d.color, *d.text, planner, threads,
+                             nullptr, nullptr, nullptr, &stats);
+          ASSERT_TRUE(got.ok()) << label << ": " << got.status();
+          ExpectIdenticalItems(*oracle, *got, label);
+          // Plans differ in their join anatomy; only the unplanned arm
+          // must count exactly what the oracle counted.
+          if (!planner) {
+            EXPECT_EQ(oracle_stats, stats) << label;
+          }
+        }
+      }
+    }
+  }
+}
 
 class TpcwPlannerDifferential : public testing::Test {
  protected:
@@ -123,49 +154,7 @@ TpcwDb* TpcwPlannerDifferential::shallow_ = nullptr;
 TpcwDb* TpcwPlannerDifferential::deep_ = nullptr;
 
 TEST_F(TpcwPlannerDifferential, AllReadStatementsMatchBaseline) {
-  for (const CatalogQuery& q : TpcwCatalog(*data_)) {
-    if (q.is_update) continue;
-    for (const Dialect& d : DialectsOf(q, mct_, shallow_, deep_)) {
-      for (int threads : kThreadCounts) {
-        std::string label = q.id + "/" + d.name + "/t" +
-                            std::to_string(threads);
-        auto base = RunWith(d.db, d.color, *d.text, /*planner=*/false,
-                            threads);
-        auto planned = RunWith(d.db, d.color, *d.text, /*planner=*/true,
-                               threads);
-        ASSERT_TRUE(base.ok()) << label << ": " << base.status();
-        ASSERT_TRUE(planned.ok()) << label << ": " << planned.status();
-        ExpectIdenticalItems(*base, *planned, label);
-      }
-    }
-  }
-}
-
-// Vectorized differential: batch execution must be byte-identical to the
-// retained row-at-a-time paths (the pre-columnar layout's cost profile) for
-// every read statement, every dialect, serial and parallel, planner on/off.
-TEST_F(TpcwPlannerDifferential, VectorizedMatchesRowAtATime) {
-  for (const CatalogQuery& q : TpcwCatalog(*data_)) {
-    if (q.is_update) continue;
-    for (const Dialect& d : DialectsOf(q, mct_, shallow_, deep_)) {
-      for (int threads : kThreadCounts) {
-        for (bool planner : {false, true}) {
-          std::string label = q.id + "/" + d.name + "/t" +
-                              std::to_string(threads) +
-                              (planner ? "/planned" : "/base");
-          auto rows = RunWith(d.db, d.color, *d.text, planner, threads,
-                              nullptr, nullptr, nullptr,
-                              /*vectorized=*/false);
-          auto batch = RunWith(d.db, d.color, *d.text, planner, threads,
-                               nullptr, nullptr, nullptr,
-                               /*vectorized=*/true);
-          ASSERT_TRUE(rows.ok()) << label << ": " << rows.status();
-          ASSERT_TRUE(batch.ok()) << label << ": " << batch.status();
-          ExpectIdenticalItems(*rows, *batch, label);
-        }
-      }
-    }
-  }
+  ReadDifferential(TpcwCatalog(*data_), mct_, shallow_, deep_);
 }
 
 TEST_F(TpcwPlannerDifferential, CachedRunsMatchBaseline) {
@@ -219,44 +208,7 @@ SigmodDb* SigmodPlannerDifferential::shallow_ = nullptr;
 SigmodDb* SigmodPlannerDifferential::deep_ = nullptr;
 
 TEST_F(SigmodPlannerDifferential, AllReadStatementsMatchBaseline) {
-  for (const CatalogQuery& q : SigmodCatalog(*data_)) {
-    if (q.is_update) continue;
-    for (const Dialect& d : DialectsOf(q, mct_, shallow_, deep_)) {
-      for (int threads : kThreadCounts) {
-        std::string label = q.id + "/" + d.name + "/t" +
-                            std::to_string(threads);
-        auto base = RunWith(d.db, d.color, *d.text, false, threads);
-        auto planned = RunWith(d.db, d.color, *d.text, true, threads);
-        ASSERT_TRUE(base.ok()) << label << ": " << base.status();
-        ASSERT_TRUE(planned.ok()) << label << ": " << planned.status();
-        ExpectIdenticalItems(*base, *planned, label);
-      }
-    }
-  }
-}
-
-TEST_F(SigmodPlannerDifferential, VectorizedMatchesRowAtATime) {
-  for (const CatalogQuery& q : SigmodCatalog(*data_)) {
-    if (q.is_update) continue;
-    for (const Dialect& d : DialectsOf(q, mct_, shallow_, deep_)) {
-      for (int threads : kThreadCounts) {
-        for (bool planner : {false, true}) {
-          std::string label = q.id + "/" + d.name + "/t" +
-                              std::to_string(threads) +
-                              (planner ? "/planned" : "/base");
-          auto rows = RunWith(d.db, d.color, *d.text, planner, threads,
-                              nullptr, nullptr, nullptr,
-                              /*vectorized=*/false);
-          auto batch = RunWith(d.db, d.color, *d.text, planner, threads,
-                               nullptr, nullptr, nullptr,
-                               /*vectorized=*/true);
-          ASSERT_TRUE(rows.ok()) << label << ": " << rows.status();
-          ASSERT_TRUE(batch.ok()) << label << ": " << batch.status();
-          ExpectIdenticalItems(*rows, *batch, label);
-        }
-      }
-    }
-  }
+  ReadDifferential(SigmodCatalog(*data_), mct_, shallow_, deep_);
 }
 
 // ---- Sharded differential: every read statement, every dialect, shard
@@ -293,10 +245,9 @@ void ShardedCatalogDifferential(const std::vector<CatalogQuery>& queries,
                                 (planner ? "/planned" : "/base");
             query::ExecStats oracle_stats, shard_stats;
             auto oracle = RunWith(d.db, d.color, *d.text, planner, threads,
-                                  nullptr, nullptr, nullptr, true,
-                                  &oracle_stats);
+                                  nullptr, nullptr, nullptr, &oracle_stats);
             auto got = RunWith(sdb, d.color, *d.text, planner, threads,
-                               nullptr, nullptr, nullptr, true, &shard_stats);
+                               nullptr, nullptr, nullptr, &shard_stats);
             ASSERT_TRUE(oracle.ok()) << label << ": " << oracle.status();
             ASSERT_TRUE(got.ok()) << label << ": " << got.status();
             ExpectIdenticalItems(*oracle, *got, label);

@@ -417,6 +417,19 @@ TEST(ParallelDeterminismTest, MovieFixtureOperators) {
   ExpectParallelMatchesSerial([&](const ExecContext& ctx) {
     return SortRowsBy(*db, green, 0, votes, /*descending=*/false, ctx);
   });
+  ExpectParallelMatchesSerial([&](const ExecContext& ctx) {
+    return SortRowsBy(*db, green, 0, votes, /*descending=*/true, ctx);
+  });
+  // The rvalue DupElim keeps survivors through the selection vector; first
+  // occurrence wins, in input order.
+  auto dup_input = [] {
+    return Table::FromRows({"$a", "$b"}, {{1, 2}, {1, 3}, {1, 2}, {2, 2}});
+  };
+  ExpectParallelMatchesSerial([&](const ExecContext& ctx) {
+    return DupElim(dup_input(), {0, 1}, ctx);
+  });
+  EXPECT_EQ(DupElim(dup_input(), {0, 1}, nullptr).ToRows(),
+            (std::vector<std::vector<NodeId>>{{1, 2}, {1, 3}, {2, 2}}));
 }
 
 // Property: on random trees, the parallel structural-join pipeline emits the
@@ -505,128 +518,6 @@ TEST(ParallelDeterminismTest, TpcwCatalogEndToEnd) {
             << q.id << " " << d.name << " x" << threads;
         EXPECT_EQ(par->stats, serial->stats)
             << q.id << " " << d.name << " x" << threads;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Vectorized vs row-at-a-time differential: the legacy (batch=false) operator
-// paths replay the pre-columnar execution strategy, so they double as the
-// oracle — both modes must emit identical row sequences and identical stats.
-// ---------------------------------------------------------------------------
-
-template <typename Op>
-void ExpectBatchMatchesLegacy(const Op& op) {
-  ExecStats batch_stats;
-  Table batch = op(ExecContext(&batch_stats));
-  ExecStats legacy_stats;
-  ExecContext legacy_ctx(&legacy_stats);
-  legacy_ctx.batch = false;
-  Table legacy = op(legacy_ctx);
-  EXPECT_EQ(batch.vars, legacy.vars);
-  EXPECT_EQ(batch.ToRows(), legacy.ToRows());
-  EXPECT_EQ(batch_stats, legacy_stats);
-}
-
-TEST(VectorizedDifferentialTest, OperatorsMatchRowAtATime) {
-  MovieDb f = BuildMovieDb();
-  ASSERT_TRUE(f.db->SetAttr(f.actor_davis, "id", "a1").ok());
-  ASSERT_TRUE(f.db->SetAttr(f.actor_chaplin, "id", "a2").ok());
-  ASSERT_TRUE(f.db->SetAttr(f.movie_eve, "actorIdRefs", "a1 a2").ok());
-  ASSERT_TRUE(f.db->SetAttr(f.movie_lights, "actorIdRefs", "a2").ok());
-  MctDatabase* db = f.db.get();
-
-  Table movies = TagScanTable(db, f.red, "$m", "movie", nullptr);
-  Table genres = TagScanTable(db, f.red, "$g", "movie-genre", nullptr);
-  Table actors = TagScanTable(db, f.blue, "$a", "actor", nullptr);
-  Table green = TagScanTable(db, f.green, "$m2", "movie", nullptr);
-  KeySpec votes = KeySpec::ChildContent(f.green, "votes");
-
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return ExpandChildren(db, movies, 0, f.red, "name", "$n", ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return ExpandDescendants(db, genres, 0, f.red, "movie", "$m", ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return ExpandAncestors(db, movies, 0, f.red, "movie-genre", "$g", ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return CrossTreeJoin(db, movies, 0, f.green, ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return HashValueJoin(db, movies, 0, KeySpec::ChildContent(f.red, "name"),
-                         green, 0, KeySpec::ChildContent(f.green, "name"),
-                         ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return IdrefsJoin(db, movies, 0, KeySpec::Attr("actorIdRefs"), actors, 0,
-                      KeySpec::Attr("id"), ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return IdentityJoin(db, movies, 0, green, 0, ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return FilterRows(
-        movies, [&](size_t r) { return movies.At(r, 0) != f.movie_lights; },
-        ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    Table t = Table::FromRows({"$a", "$b"}, {{1, 2}, {1, 3}, {1, 2}, {2, 2}});
-    return DupElim(std::move(t), {0, 1}, ctx);
-  });
-  ExpectBatchMatchesLegacy([&](const ExecContext& ctx) {
-    return SortRowsBy(*db, green, 0, votes, /*descending=*/true, ctx);
-  });
-}
-
-// End-to-end A/B: the whole evaluator (planner on and off) must return the
-// same values and stats with vectorized execution disabled.
-TEST(VectorizedDifferentialTest, TpcwCatalogEndToEnd) {
-  using workload::BuildTpcw;
-  using workload::CatalogQuery;
-  using workload::GenerateTpcw;
-  using workload::RunQuery;
-  using workload::SchemaKind;
-  using workload::TpcwScale;
-
-  auto data = GenerateTpcw(TpcwScale::Tiny());
-  auto mct_db = BuildTpcw(data, SchemaKind::kMct);
-  auto shallow_db = BuildTpcw(data, SchemaKind::kShallow);
-  ASSERT_TRUE(mct_db.ok());
-  ASSERT_TRUE(shallow_db.ok());
-
-  for (const CatalogQuery& q : workload::TpcwCatalog(data)) {
-    if (q.is_update) continue;
-    struct Dialect {
-      workload::TpcwDb* db;
-      const std::string* text;
-      const char* name;
-    };
-    Dialect dialects[] = {{&*mct_db, &q.mct, "mct"},
-                          {&*shallow_db, &q.shallow, "shallow"}};
-    for (const Dialect& d : dialects) {
-      if (d.text->empty()) continue;
-      for (bool planner : {false, true}) {
-        auto vec = RunQuery(d.db->db.get(), d.db->default_color(), *d.text,
-                            /*collect_values=*/true, /*num_threads=*/1,
-                            /*morsel_size=*/1024, nullptr, nullptr,
-                            mcx::AnalyzeMode::kOff, nullptr, planner, nullptr,
-                            /*vectorized=*/true);
-        auto row = RunQuery(d.db->db.get(), d.db->default_color(), *d.text,
-                            /*collect_values=*/true, /*num_threads=*/1,
-                            /*morsel_size=*/1024, nullptr, nullptr,
-                            mcx::AnalyzeMode::kOff, nullptr, planner, nullptr,
-                            /*vectorized=*/false);
-        ASSERT_TRUE(vec.ok()) << q.id << " " << d.name;
-        ASSERT_TRUE(row.ok()) << q.id << " " << d.name;
-        EXPECT_EQ(vec->result_count, row->result_count)
-            << q.id << " " << d.name << " planner=" << planner;
-        EXPECT_EQ(vec->values, row->values)
-            << q.id << " " << d.name << " planner=" << planner;
-        EXPECT_EQ(vec->stats, row->stats)
-            << q.id << " " << d.name << " planner=" << planner;
       }
     }
   }

@@ -4,7 +4,8 @@
 //   * the query results are identical regardless of thread count,
 //   * the trace root accounts for every result item,
 //   * within each FOR group, consecutive operators chain (rows_in of one
-//     equals rows_out of the previous),
+//     equals rows_out of the previous) and the group's rows_out is its last
+//     operator's,
 //   * morsel counts are consistent with the fan-out size and morsel size,
 //   * the trace structure (ops, details, row counts) is identical at 1 and
 //     8 threads — only wall times and morsel counts (serial runs claim one
@@ -19,6 +20,7 @@
 #include "mcx/evaluator.h"
 #include "movie_fixture.h"
 #include "query/trace.h"
+#include "workload/catalog.h"
 #include "workload/runner.h"
 #include "workload/tpcw_db.h"
 
@@ -101,6 +103,10 @@ void CheckChainInvariant(const QueryTrace& trace, const std::string& text) {
       EXPECT_EQ(g.children[i]->rows_in, g.children[i - 1]->rows_out)
           << g.children[i]->op << " after " << g.children[i - 1]->op
           << "\nquery: " << text;
+    }
+    if (!g.children.empty()) {
+      EXPECT_EQ(g.rows_out, g.children.back()->rows_out)
+          << "FOR " << g.detail << "\nquery: " << text;
     }
   });
 }
@@ -237,6 +243,37 @@ TEST(TraceDifferentialTest, TpcwMorselCountsUnderParallelPool) {
   // The serial run never fans out.
   t1.root().Visit(
       [&](const OpTrace& n) { EXPECT_LE(n.morsels, 1u) << n.op; });
+}
+
+// EXPLAIN ANALYZE on TPC-W TQ2 (a selective scan): the `FOR $o` group
+// reports the bindings it consumed (the lone document row) and produced
+// (the filter's survivors), not "0 -> 0".
+TEST(TraceDifferentialTest, Tq2ForGroupCarriesRowCounts) {
+  using namespace mct::workload;
+  TpcwData data = GenerateTpcw(TpcwScale::Default().ScaledBy(0.02));
+  auto db = BuildTpcw(data, SchemaKind::kMct);
+  ASSERT_TRUE(db.ok());
+  std::string tq2;
+  for (const CatalogQuery& q : TpcwCatalog(data)) {
+    if (q.id == "TQ2") tq2 = q.mct;
+  }
+  ASSERT_FALSE(tq2.empty());
+
+  QueryTrace trace;
+  auto r = RunQuery(db->db.get(), db->default_color(), tq2, false, 1, 1024,
+                    &trace);
+  ASSERT_TRUE(r.ok()) << r.status();
+  const OpTrace* for_o = nullptr;
+  trace.root().Visit([&](const OpTrace& n) {
+    if (n.op == "FOR" && n.detail == "$o") for_o = &n;
+  });
+  ASSERT_NE(for_o, nullptr) << trace.ToText();
+  ASSERT_FALSE(for_o->children.empty()) << trace.ToText();
+  EXPECT_EQ(for_o->rows_in, 1u) << trace.ToText();
+  EXPECT_GT(for_o->rows_out, 0u) << trace.ToText();
+  EXPECT_EQ(for_o->rows_out, for_o->children.back()->rows_out)
+      << trace.ToText();
+  EXPECT_EQ(for_o->rows_out, r->result_count) << trace.ToText();
 }
 
 TEST(TraceDifferentialTest, PausedNestedFlworStaysOutOfTrace) {
