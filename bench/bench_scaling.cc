@@ -9,19 +9,15 @@
 // exponent between successive sizes (log t ratio / log n ratio): ~1 means
 // linear, ~2 quadratic.
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "common/strings.h"
-#include "mct/shard.h"
 #include "query/trace.h"
 #include "workload/catalog.h"
 #include "workload/runner.h"
-#include "workload/sigmodr_db.h"
 #include "workload/tpcw_db.h"
 
 namespace {
@@ -51,216 +47,11 @@ double MeasureQuery(TpcwDb* db, const std::string& text, int num_threads = 1) {
       3);
 }
 
-// --- Interval-range shard sweep (--shards; DESIGN.md §17) -----------------
-//
-// Runs descendant-heavy SIGMOD statements on the MCT schema at shard counts
-// {1, 2, 4, 8} with 8 execution threads, reporting per-query speedup over
-// the 1-shard run and the shard-pruning ratio (pruned / cut runs), and
-// writes BENCH_shard.json. With --check it exits nonzero when
-//  * any query at shard_count=1 runs >10% (plus a noise floor) slower than
-//    the same query before SetShardCount was ever called (the 1-shard code
-//    path must stay byte-identical to the unsharded seed), or
-//  * the geomean speedup of the descendant-heavy gate set at 4 shards is
-//    <= 1.0, or
-//  * interval pruning never fired across the whole sweep.
-int RunShardSweep(double base, bool check) {
-  const double scale = base * 10;
-  SigmodData data = GenerateSigmod(SigmodScale::Default().ScaledBy(scale));
-  auto db = BuildSigmod(data, SchemaKind::kMct);
-  if (!db.ok()) {
-    std::fprintf(stderr, "shard-sweep build failed\n");
-    return 1;
-  }
-  auto catalog = SigmodCatalog(data);
-  const std::string doc = "document(\"sigmod.xml\")";
-  const std::string editor0 = data.editors[0];
-  const SigmodIssue& is0 = data.issues[data.issues.size() / 2];
-
-  struct ShardQuery {
-    std::string id;
-    std::string text;
-    bool descendant_heavy;  // member of the geomean gate set
-  };
-  // SQ1/SQ4: full-tree descendant scans (sharded sort + merge, no pruning
-  // opportunity — the context is the whole document). SQ3 and the SX pair:
-  // a selective context anchors the second descendant step, so whole
-  // shards are interval-disjoint and pruned.
-  std::vector<ShardQuery> queries = {
-      {"SQ1", FindQuery(catalog, "SQ1")->mct, false},
-      {"SQ4", FindQuery(catalog, "SQ4")->mct, false},
-      {"SQ3", FindQuery(catalog, "SQ3")->mct, true},
-      {"SXed",
-       mct::StrFormat(
-           "for $e in %s/{topic}descendant::editor"
-           "[{topic}child::name = \"%s\"] "
-           "for $a in $e/{topic}descendant::article return $a",
-           doc.c_str(), editor0.c_str()),
-       true},
-      {"SXis",
-       mct::StrFormat(
-           "for $i in %s/{time}descendant::issue[{time}child::volume = %d]"
-           "[{time}child::number = %d] "
-           "for $a in $i/{time}descendant::article return $a",
-           doc.c_str(), is0.volume, is0.number),
-       true},
-  };
-
-  const int kThreads = 8;
-  auto run_once = [&](const std::string& text) {
-    auto run = RunQuery(db->db.get(), db->default_color(), text, false,
-                        kThreads);
-    if (!run.ok()) {
-      std::fprintf(stderr, "query failed: %s\n",
-                   run.status().ToString().c_str());
-      std::exit(1);
-    }
-    return run->seconds;
-  };
-
-  std::printf("=== Interval-range shard sweep (SIGMOD mct, %d threads) ===\n\n",
-              kThreads);
-  // Seed pass: the database has never seen SetShardCount — the oracle the
-  // 1-shard run must not regress against. Min-of-5 (not the paper's trimmed
-  // mean): the gates compare two timings of identical work, where the
-  // minimum is the noise-robust estimator on a shared CI box.
-  const int kRounds = 5;
-  std::vector<double> seed_times(queries.size(), 1e99);
-  for (int round = 0; round < kRounds; ++round) {
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      seed_times[qi] = std::min(seed_times[qi], run_once(queries[qi].text));
-    }
-  }
-
-  const std::vector<int> shard_counts{1, 2, 4, 8};
-  // times[q][s] (min over rounds), pruned[q][s], tasks[q][s].
-  std::vector<std::vector<double>> times(
-      queries.size(), std::vector<double>(shard_counts.size(), 1e99));
-  std::vector<std::vector<uint64_t>> pruned(
-      queries.size(), std::vector<uint64_t>(shard_counts.size(), 0));
-  std::vector<std::vector<uint64_t>> tasks(
-      queries.size(), std::vector<uint64_t>(shard_counts.size(), 0));
-  // Interleaved rounds — every shard count runs once per round, so
-  // machine-wide drift (frequency scaling, noisy neighbours) lands on all
-  // shard counts of a query equally instead of biasing whichever block
-  // happened to run during the slow spell. The per-switch shard-map
-  // rebuild is charged to the first run of a round; the min absorbs it.
-  for (int round = 0; round < kRounds; ++round) {
-    for (size_t si = 0; si < shard_counts.size(); ++si) {
-      db->db->SetShardCount(shard_counts[si]);
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        const uint64_t p0 = mct::ShardPrunedCounter()->value();
-        const uint64_t t0 = mct::ShardTasksCounter()->value();
-        times[qi][si] = std::min(times[qi][si], run_once(queries[qi].text));
-        pruned[qi][si] += mct::ShardPrunedCounter()->value() - p0;
-        tasks[qi][si] += mct::ShardTasksCounter()->value() - t0;
-      }
-    }
-  }
-  db->db->SetShardCount(1);
-
-  double gate_log_sum = 0;
-  int gate_count = 0;
-  uint64_t total_pruned = 0;
-  bool seed_ok = true;
-  std::FILE* json = std::fopen("BENCH_shard.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"scale\": %g,\n  \"articles\": %zu,\n"
-                 "  \"threads\": %d,\n  \"queries\": [\n",
-                 scale, data.articles.size(), kThreads);
-  }
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const ShardQuery& q = queries[qi];
-    std::printf("%-5s seed=%8.5fs", q.id.c_str(), seed_times[qi]);
-    for (size_t si = 0; si < shard_counts.size(); ++si) {
-      std::printf("  s%d=%8.5fs", shard_counts[si], times[qi][si]);
-    }
-    const double speedup4 = times[qi][0] / times[qi][2];
-    const uint64_t cut_runs4 = pruned[qi][2] + tasks[qi][2];
-    const double prune_ratio4 =
-        cut_runs4 > 0 ? static_cast<double>(pruned[qi][2]) /
-                            static_cast<double>(cut_runs4)
-                      : 0;
-    std::printf("  | 4-shard speedup %.2fx, pruned %.0f%%%s\n",
-                speedup4, prune_ratio4 * 100,
-                q.descendant_heavy ? "  [gate]" : "");
-    // 1-shard vs seed: identical code path, so only measurement noise can
-    // separate them — but the seed pass necessarily ran before any
-    // SetShardCount and cannot be interleaved with it, so give the 10%
-    // bound a 2ms drift floor.
-    if (times[qi][0] > seed_times[qi] * 1.10 + 0.002) seed_ok = false;
-    if (q.descendant_heavy) {
-      gate_log_sum += std::log(speedup4);
-      ++gate_count;
-    }
-    for (size_t si = 0; si < shard_counts.size(); ++si) {
-      total_pruned += pruned[qi][si];
-    }
-    if (json != nullptr) {
-      std::fprintf(json,
-                   "%s    {\"id\": \"%s\", \"descendant_heavy\": %s, "
-                   "\"seed\": %.6f",
-                   qi == 0 ? "" : ",\n", q.id.c_str(),
-                   q.descendant_heavy ? "true" : "false", seed_times[qi]);
-      for (size_t si = 0; si < shard_counts.size(); ++si) {
-        std::fprintf(json, ", \"s%d\": %.6f", shard_counts[si],
-                     times[qi][si]);
-        std::fprintf(json, ", \"pruned_s%d\": %llu", shard_counts[si],
-                     static_cast<unsigned long long>(pruned[qi][si]));
-        std::fprintf(json, ", \"tasks_s%d\": %llu", shard_counts[si],
-                     static_cast<unsigned long long>(tasks[qi][si]));
-      }
-      std::fprintf(json, ", \"speedup_s4\": %.3f, \"prune_ratio_s4\": %.3f}",
-                   speedup4, prune_ratio4);
-    }
-  }
-  const double geomean4 =
-      gate_count > 0 ? std::exp(gate_log_sum / gate_count) : 0;
-  std::printf("\nDescendant-heavy geomean speedup at 4 shards: %.2fx\n",
-              geomean4);
-  std::printf("Interval pruning fired %llu times across the sweep\n",
-              static_cast<unsigned long long>(total_pruned));
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "\n  ],\n  \"geomean_speedup_s4\": %.3f,\n"
-                 "  \"total_pruned_shards\": %llu,\n  \"seed_ok\": %s\n}\n",
-                 geomean4, static_cast<unsigned long long>(total_pruned),
-                 seed_ok ? "true" : "false");
-    std::fclose(json);
-    std::printf("Wrote BENCH_shard.json\n");
-  }
-  if (check) {
-    if (!seed_ok) {
-      std::fprintf(stderr,
-                   "FAIL: shard_count=1 regressed >10%% against the "
-                   "unsharded seed\n");
-      return 1;
-    }
-    if (geomean4 <= 1.0) {
-      std::fprintf(stderr,
-                   "FAIL: 4-shard geomean speedup %.3f <= 1.0 on the "
-                   "descendant-heavy set\n",
-                   geomean4);
-      return 1;
-    }
-    if (total_pruned == 0) {
-      std::fprintf(stderr, "FAIL: interval pruning never fired\n");
-      return 1;
-    }
-    std::printf("shard sweep gates ok\n");
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  mct::bench::CheckArgs(argc, argv, {"--scale=", "--shards", "--check",
-                                     "--trace"});
+  mct::bench::CheckArgs(argc, argv, {"--scale=", "--trace"});
   double base = mct::bench::ScaleFromArgs(argc, argv, 0.1);
-  if (mct::bench::HasFlag(argc, argv, "--shards")) {
-    return RunShardSweep(base, mct::bench::HasFlag(argc, argv, "--check"));
-  }
   if (mct::bench::HasFlag(argc, argv, "--trace")) {
     // EXPLAIN ANALYZE mode: trace the thread-sweep queries serially and at
     // 8 threads (to exercise the morsel counters), print the text trees,

@@ -1,5 +1,6 @@
 #include "common/metrics.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/strings.h"
@@ -48,7 +49,7 @@ uint64_t Histogram::ApproxPercentile(double p) const {
   uint64_t seen = 0;
   for (int b = 0; b < kBuckets; ++b) {
     seen += BucketCount(b);
-    if (seen >= rank) return BucketUpper(b);
+    if (seen >= rank) return std::min(BucketUpper(b), max());
   }
   return max();
 }

@@ -25,7 +25,7 @@ namespace mct {
 inline constexpr size_t kCacheLineBytes = 64;
 
 /// Monotonically increasing event count. Counters are allocated
-/// individually and hammered from shard-parallel tasks, so each one is
+/// individually and hammered from morsel-parallel tasks, so each one is
 /// padded to a cache line: two hot counters that happen to be neighbors in
 /// the heap must not false-share.
 class alignas(kCacheLineBytes) Counter {
@@ -75,8 +75,9 @@ class Histogram {
     return buckets_[static_cast<size_t>(b)].load(std::memory_order_relaxed);
   }
   double Mean() const;
-  /// Upper edge of the bucket holding the p-quantile (p in [0,1]); an
-  /// order-of-magnitude percentile, exact enough for tail diagnosis.
+  /// Upper edge of the bucket holding the p-quantile (p in [0,1]), clamped
+  /// to max(); an order-of-magnitude percentile, exact enough for tail
+  /// diagnosis.
   uint64_t ApproxPercentile(double p) const;
   void Reset();
 

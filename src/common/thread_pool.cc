@@ -103,7 +103,7 @@ void ParallelFor(ThreadPool* pool, size_t num_tasks,
     for (size_t i = 0; i < num_tasks; ++i) body(i);
     return;
   }
-  // The shared claim counter is the hottest atomic in a shard-parallel
+  // The shared claim counter is the hottest atomic in a morsel-parallel
   // fan-out; pad it so the surrounding stack frame (the closure's captured
   // state, read-only during the loop) never shares its cache line.
   struct alignas(kCacheLineBytes) PaddedCounter {

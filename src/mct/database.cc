@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "common/strings.h"
-#include "common/thread_pool.h"
 
 namespace mct {
 
@@ -35,8 +34,6 @@ MctDatabase::MctDatabase(const MctDatabase& o, bool write_through)
       tag_image_(o.tag_image_),
       content_image_(o.content_image_),
       attr_image_(o.attr_image_),
-      shard_map_(o.shard_map_),
-      shard_count_(o.shard_count_),
       write_through_(write_through) {
   trees_.reserve(o.trees_.size());
   for (const auto& t : o.trees_) {
@@ -99,7 +96,6 @@ const std::vector<NodeId>* MctDatabase::ImageFind(const IndexMap& image,
 Result<ColorId> MctDatabase::RegisterColor(std::string_view name) {
   ColorId existing = colors_.Lookup(name);
   if (existing != kInvalidColorId) return existing;
-  shard_map_.reset();  // color count changes; rebuild lazily
   MCT_ASSIGN_OR_RETURN(ColorId id, colors_.Register(name));
   assert(id == trees_.size());
   trees_.push_back(std::make_unique<ColoredTree>(id, env_.get()));
@@ -126,9 +122,6 @@ Status MctDatabase::AddNodeColor(NodeId node, ColorId color, NodeId parent,
     return Status::InvalidArgument("unregistered color");
   }
   bool first_color = store_.Colors(node).empty();
-  // Structural mutation: labels may move (gap insert or full relabel), so
-  // this version's shard map is stale. Shared lineage versions keep theirs.
-  shard_map_.reset();
   MCT_RETURN_IF_ERROR(trees_[color]->InsertChild(parent, node, before));
   store_.AddColor(node, color);
   if (store_.Kind(node) == xml::NodeKind::kElement) {
@@ -173,7 +166,6 @@ Status MctDatabase::RemoveNodeColor(NodeId node, ColorId color) {
     return Status::InvalidArgument("unregistered color");
   }
   std::vector<NodeId> removed;
-  shard_map_.reset();
   MCT_RETURN_IF_ERROR(trees_[color]->DetachSubtree(node, &removed));
   for (NodeId n : removed) {
     store_.RemoveColor(n, color);
@@ -299,42 +291,7 @@ std::optional<double> MctDatabase::TypedValue(NodeId node,
   return ParseDouble(*sv);
 }
 
-void MctDatabase::SetShardCount(int n) {
-  if (n < 1) n = 1;
-  if (n > 64) n = 64;
-  shard_count_ = n;
-  shard_map_.reset();
-}
-
-const ShardMap* MctDatabase::EnsureShardMap() {
-  if (shard_count_ <= 1) {
-    shard_map_.reset();
-    return nullptr;
-  }
-  if (shard_map_ != nullptr && shard_map_->shard_count() == shard_count_ &&
-      shard_map_->color_count() == trees_.size()) {
-    return shard_map_.get();
-  }
-  // Boundaries are start labels, so they are only meaningful over clean
-  // labels; the map is invalidated by every structural mutation, which is
-  // exactly when labels can move.
-  for (auto& t : trees_) t->EnsureLabels();
-  shard_map_ = std::make_shared<const ShardMap>(
-      shard_count_, trees_.size(), [&](ColorId c) {
-        const ColoredTree* t = trees_[c].get();
-        NodeId r = t->root();
-        return std::pair<uint64_t, uint64_t>(t->Start(r), t->End(r));
-      });
-  return shard_map_.get();
-}
-
-namespace {
-// Below this, the serial sort wins over bucket + fan-out overhead.
-constexpr size_t kShardSortMin = 4096;
-}  // namespace
-
-std::vector<NodeId> MctDatabase::TagScan(ColorId color, std::string_view tag,
-                                         ThreadPool* pool) {
+std::vector<NodeId> MctDatabase::TagScan(ColorId color, std::string_view tag) {
   std::vector<NodeId> out;
   NameId tag_id = store_.names().Lookup(tag);
   if (tag_id == kInvalidNameId || color >= trees_.size()) return out;
@@ -350,36 +307,7 @@ std::vector<NodeId> MctDatabase::TagScan(ColorId color, std::string_view tag,
   std::vector<std::pair<uint64_t, NodeId>> keyed;
   keyed.reserve(out.size());
   for (NodeId n : out) keyed.emplace_back(t->Start(n), n);
-  const ShardMap* sm = EnsureShardMap();
-  if (sm != nullptr && pool != nullptr && pool->num_threads() > 1 &&
-      keyed.size() >= kShardSortMin) {
-    // Shard-parallel order restore: bucket by owning shard (shard ranges
-    // are disjoint and ordered), sort each bucket as one pool task,
-    // concatenate in shard order. Start labels are unique within a tree,
-    // so this is byte-identical to the serial full sort.
-    const size_t ns = static_cast<size_t>(sm->shard_count());
-    std::vector<uint32_t> shard_of(keyed.size());
-    std::vector<size_t> offset(ns + 1, 0);
-    for (size_t i = 0; i < keyed.size(); ++i) {
-      shard_of[i] =
-          static_cast<uint32_t>(sm->ShardOf(color, keyed[i].first));
-      ++offset[shard_of[i] + 1];
-    }
-    for (size_t s = 0; s < ns; ++s) offset[s + 1] += offset[s];
-    std::vector<std::pair<uint64_t, NodeId>> bucketed(keyed.size());
-    std::vector<size_t> fill(offset.begin(), offset.end() - 1);
-    for (size_t i = 0; i < keyed.size(); ++i) {
-      bucketed[fill[shard_of[i]]++] = keyed[i];
-    }
-    ShardTasksCounter()->Inc(ns);
-    ParallelFor(pool, ns, [&](size_t s) {
-      std::sort(bucketed.begin() + static_cast<ptrdiff_t>(offset[s]),
-                bucketed.begin() + static_cast<ptrdiff_t>(offset[s + 1]));
-    });
-    keyed.swap(bucketed);
-  } else {
-    std::sort(keyed.begin(), keyed.end());
-  }
+  std::sort(keyed.begin(), keyed.end());
   for (size_t i = 0; i < keyed.size(); ++i) out[i] = keyed[i].second;
   return out;
 }

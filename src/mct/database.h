@@ -43,12 +43,9 @@
 #include "mct/color.h"
 #include "mct/colored_tree.h"
 #include "mct/node_store.h"
-#include "mct/shard.h"
 #include "storage/storage_env.h"
 
 namespace mct {
-
-class ThreadPool;
 
 /// Storage statistics in the shape of the paper's Table 1.
 struct DatabaseStats {
@@ -162,30 +159,7 @@ class MctDatabase {
   const ColoredTree* tree(ColorId c) const { return trees_[c].get(); }
 
   /// All elements with `tag` in `color`, sorted by local document order.
-  /// With an active shard map and a pool, the order-restoring sort runs as
-  /// one task per shard (bucket by owning shard, sort buckets in parallel,
-  /// concatenate in shard order) — the result is byte-identical to the
-  /// serial sort because shard ranges are disjoint and ordered.
-  std::vector<NodeId> TagScan(ColorId color, std::string_view tag,
-                              ThreadPool* pool = nullptr);
-
-  // ---- Interval-range sharding (DESIGN.md §17) ----
-
-  /// Sets the number of intra-process shards (clamped to [1, 64]).
-  /// 1 disables sharding entirely: shard_map() stays null and every
-  /// operator takes its pre-shard code path. Takes effect at the next
-  /// EnsureShardMap(); safe only between statements (like EnsureLabels).
-  void SetShardCount(int n);
-  int shard_count() const { return shard_count_; }
-
-  /// Builds (or reuses) the shard map for the current labels. Called from
-  /// the single-threaded prologue of the structural operators, alongside
-  /// EnsureLabels(). Returns nullptr when shard_count() <= 1.
-  const ShardMap* EnsureShardMap();
-
-  /// The current shard map, or nullptr when sharding is off or the map has
-  /// been invalidated by a structural mutation and not yet rebuilt.
-  const ShardMap* shard_map() const { return shard_map_.get(); }
+  std::vector<NodeId> TagScan(ColorId color, std::string_view tag);
 
   /// Elements with `tag` whose own content equals `value`
   /// (content-index probe; color-agnostic).
@@ -260,12 +234,6 @@ class MctDatabase {
   std::shared_ptr<IndexMap> tag_image_;
   std::shared_ptr<IndexMap> content_image_;
   std::shared_ptr<IndexMap> attr_image_;
-  // Immutable shard map shared across the MVCC lineage; any structural
-  // mutation resets only this version's pointer (shard-local
-  // invalidation), and EnsureShardMap rebuilds lazily. Null when
-  // shard_count_ <= 1.
-  std::shared_ptr<const ShardMap> shard_map_;
-  int shard_count_ = 1;
   bool write_through_ = true;
 };
 

@@ -86,7 +86,7 @@ class NodeStore {
   Status SetContent(NodeId n, std::string_view text);
 
   /// Attribute access. Attribute "nodes" carry all the colors of their
-  /// owning element (Definition 3.2), so they are stored as unsharded
+  /// owning element (Definition 3.2), so they are stored once as
   /// per-node payload.
   const std::vector<NodeAttr>& Attrs(NodeId n) const {
     return nodes_.At(n).attrs;

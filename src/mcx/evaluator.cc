@@ -208,35 +208,12 @@ Result<ColorId> Evaluator::ResolveColor(const std::string& name) const {
   return c;
 }
 
-namespace {
-
-// Extends a plan-cache fingerprint with the database's shard count (mirror
-// of the mask-fingerprint slicing): plans are costed under a shard
-// fan-out, so a cached spine must never cross differently-sharded
-// databases. shards <= 1 leaves the fingerprint untouched — the unsharded
-// slice keys stay exactly as before. splitmix64 finalizer; | 1 keeps the
-// sliced key nonzero even when no mask is active.
-uint64_t ShardSlicedFingerprint(uint64_t fp, int shards) {
-  if (shards <= 1) return fp;
-  uint64_t x = fp + 0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(shards);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x | 1;
-}
-
-}  // namespace
-
 Result<QueryResult> Evaluator::Run(std::string_view text) {
   if (opts_.planner && opts_.plan_cache != nullptr) {
     // Masked plans are pruned against the session's visibility mask, so the
     // cache is sliced by mask fingerprint: tenants with different masks
     // never exchange entries (and the common unmasked case shares slice 0).
-    // The shard count extends the slice key the same way.
-    const uint64_t fp =
-        ShardSlicedFingerprint(opts_.mask.Fingerprint(), db_->shard_count());
+    const uint64_t fp = opts_.mask.Fingerprint();
     std::string key(text);
     if (std::shared_ptr<const void> hit =
             opts_.plan_cache->LookupExact(key, opts_.cache_epoch, fp)) {
@@ -511,7 +488,6 @@ class DbStatsProvider : public query::StatsProvider {
     const ColoredTree* t = db_->tree(color);
     return t != nullptr ? static_cast<double>(t->size()) : 0.0;
   }
-  int ShardCount() const override { return db_->shard_count(); }
 
  private:
   const MctDatabase* db_;

@@ -11,7 +11,6 @@
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "mct/color.h"
-#include "mct/shard.h"
 #include "query/trace.h"
 
 namespace mct::query {
@@ -328,7 +327,7 @@ Table TagScanTable(MctDatabase* db, ColorId color, const std::string& var,
     if (tr.enabled()) tr.Finish(0, 0, 0);
     return Table::FromNodes(var, {});
   }
-  std::vector<NodeId> nodes = db->TagScan(color, tag, ctx.pool);
+  std::vector<NodeId> nodes = db->TagScan(color, tag);
   if (ctx.stats != nullptr) ctx.stats->rows_scanned += nodes.size();
   if (tr.enabled()) {
     tr.set_detail(StrFormat("{%s}%s -> %s", db->ColorName(color).c_str(),
@@ -406,55 +405,6 @@ std::vector<Anc> AncCandidates(
   return ancs;
 }
 
-// Interval-range shard pruning (DESIGN.md §17): cuts the start-sorted
-// descendant stream into per-shard runs and drops the runs of shards whose
-// label range is disjoint from every context interval — those descendants
-// can have no open ancestor in the merge, so they emit nothing, and
-// removing them up front preserves the exact output sequence while the
-// stack replay (and its fan-out) skips the dead ranges entirely. The
-// surviving runs, concatenated in shard order, stay in ascending start
-// order. Runs only after mask filtering (the caller returns before the
-// scan on a masked color), so pruning never observes masked data.
-std::vector<NodeId> ShardPrune(const ShardMap& sm, ColorId color,
-                               const std::vector<NodeId>& descs,
-                               const std::vector<Anc>& ancs,
-                               const ColoredTree& ct) {
-  const size_t ns = static_cast<size_t>(sm.shard_count());
-  const std::vector<size_t> cuts = sm.CutRuns(
-      color, descs.size(), [&](size_t i) { return ct.Start(descs[i]); });
-  // Context intervals, sorted by start (AncCandidates' order) with a
-  // running max end — the O(log) disjointness probe per shard.
-  std::vector<uint64_t> astarts;
-  std::vector<uint64_t> amax;
-  astarts.reserve(ancs.size());
-  amax.reserve(ancs.size());
-  uint64_t m = 0;
-  for (const Anc& a : ancs) {
-    astarts.push_back(a.start);
-    m = std::max(m, a.end);
-    amax.push_back(m);
-  }
-  std::vector<NodeId> kept;
-  kept.reserve(descs.size());
-  uint64_t kept_shards = 0;
-  uint64_t pruned_shards = 0;
-  for (size_t s = 0; s < ns; ++s) {
-    if (cuts[s] == cuts[s + 1]) continue;  // no members here anyway
-    auto [lo, hi] = sm.Range(color, static_cast<int>(s));
-    if (ShardMap::RangeDisjoint(astarts, amax, lo, hi)) {
-      ++pruned_shards;
-      continue;
-    }
-    ++kept_shards;
-    kept.insert(kept.end(),
-                descs.begin() + static_cast<ptrdiff_t>(cuts[s]),
-                descs.begin() + static_cast<ptrdiff_t>(cuts[s + 1]));
-  }
-  ShardTasksCounter()->Inc(kept_shards);
-  ShardPrunedCounter()->Inc(pruned_shards);
-  return kept;
-}
-
 // Stack-based interval merge (stack-tree join, Al-Khalifa et al.), the
 // shared core of the descendant-merge operators: both inputs in ascending
 // start order; the stack holds the chain of ancestor candidates currently
@@ -520,7 +470,7 @@ Table ExpandDescendants(MctDatabase* db, const Table& in, int col,
     if (tr.enabled()) tr.Finish(0, 0, 0);
     return out;
   }
-  std::vector<NodeId> descs = db->TagScan(color, tag, ctx.pool);
+  std::vector<NodeId> descs = db->TagScan(color, tag);
   if (ctx.stats != nullptr) ctx.stats->rows_scanned += descs.size();
   if (descs.empty() || in.num_rows() == 0) {
     if (tr.enabled()) tr.Finish(0, 0, descs.size());
@@ -535,16 +485,11 @@ Table ExpandDescendants(MctDatabase* db, const Table& in, int col,
   const auto groups = GroupByNode(in, col);
   const std::vector<Anc> ancs = AncCandidates(groups, ct);
 
-  const size_t scanned = descs.size();
-  const ShardMap* sm = db->EnsureShardMap();
-  if (sm != nullptr) descs = ShardPrune(*sm, color, descs, ancs, ct);
-
   size_t morsels = MergeEmit(ctx, in, descs, ancs, groups, ct, &out, tr);
-  if (sm != nullptr) ShardMergeRowsCounter()->Inc(out.num_rows());
   // Re-establish row order of the left input (group expansion visits in
   // descendant order): callers that need input order should sort; FLWOR
   // semantics here only require the binding set, so we keep merge order.
-  if (tr.enabled()) tr.Finish(out.num_rows(), morsels, scanned);
+  if (tr.enabled()) tr.Finish(out.num_rows(), morsels, descs.size());
   return out;
 }
 
@@ -604,16 +549,8 @@ Table ExpandDescendantsAmong(MctDatabase* db, const Table& in, int col,
   const auto groups = GroupByNode(in, col);
   const std::vector<Anc> ancs = AncCandidates(groups, ct);
 
-  // Seek pushdown composes with sharding for free: the normalized
-  // candidate stream is start-sorted, so pruning routes the merge to only
-  // the shards owning candidates under a live context interval.
-  const size_t scanned = descs.size();
-  const ShardMap* sm = db->EnsureShardMap();
-  if (sm != nullptr) descs = ShardPrune(*sm, color, descs, ancs, ct);
-
   size_t morsels = MergeEmit(ctx, in, descs, ancs, groups, ct, &out, tr);
-  if (sm != nullptr) ShardMergeRowsCounter()->Inc(out.num_rows());
-  if (tr.enabled()) tr.Finish(out.num_rows(), morsels, scanned);
+  if (tr.enabled()) tr.Finish(out.num_rows(), morsels, descs.size());
   return out;
 }
 
@@ -722,9 +659,7 @@ Table ExpandDescendantsRoot(MctDatabase* db, const Table& in, int col,
   // Every tag-index entry of the color is a proper descendant of the
   // document root, and the index is in local document order — exactly the
   // (start(d), start(doc), row 0) order the interval merge would emit.
-  // With shards active the order-restoring sort inside the scan fans out
-  // one task per shard (the whole-document context prunes nothing).
-  std::vector<NodeId> descs = db->TagScan(color, tag, ctx.pool);
+  std::vector<NodeId> descs = db->TagScan(color, tag);
   if (ctx.stats != nullptr) ctx.stats->rows_scanned += descs.size();
   const ColoredTree* t = db->tree(color);
   std::vector<NodeId> kept;

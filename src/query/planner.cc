@@ -112,20 +112,15 @@ double ExpandEstimate(const StepDesc& step, double in_rows, double tag_count,
 }
 
 /// Baseline cost of the axis expansion itself (tag scan + group hash +
-/// interval merge / parent-pointer join), excluding predicates. `par` is
-/// the shard fan-out (DESIGN.md §17): the interval merge and the emit run
-/// as shard-parallel tasks, so their cost divides by the fan-out; the tag
-/// scan and group hash stay serial in the model (the scan's sort does
-/// parallelize, but its constant is small enough to ignore). par = 1 is
-/// the exact pre-shard model.
+/// interval merge / parent-pointer join), excluding predicates.
 double BaselineExpandCost(const StepDesc& step, double in_rows,
-                          double tag_count, double expand, double par) {
+                          double tag_count, double expand) {
   switch (step.axis) {
     case PlanAxis::kChild:
     case PlanAxis::kDescendant:
     case PlanAxis::kDescendantOrSelf:
       return kScanC * tag_count + kGroupC * in_rows +
-             (kStackC * (in_rows + tag_count) + kEmitC * expand) / par;
+             (kStackC * (in_rows + tag_count) + kEmitC * expand);
     case PlanAxis::kParent:
     case PlanAxis::kAncestor:
       return kScanC * in_rows + kEmitC * expand;
@@ -207,11 +202,6 @@ StatementPlan PlanStatement(const std::vector<BindingDesc>& bindings,
                             const StatsProvider& stats,
                             ResourceGovernor* governor) {
   StatementPlan plan;
-  plan.shard_count = std::max(1, stats.ShardCount());
-  // Effective shard parallelism: fan-out is capped by what a typical pool
-  // can actually run side by side, so a 64-shard map doesn't make the
-  // model believe in 64x merges.
-  const double par = std::min(plan.shard_count, 8);
   plan.bindings.reserve(bindings.size());
   for (const BindingDesc& b : bindings) {
     if (governor != nullptr && governor->ShouldStop()) {
@@ -265,7 +255,7 @@ StatementPlan PlanStatement(const std::vector<BindingDesc>& bindings,
       }
 
       double base_expand_cost =
-          BaselineExpandCost(step, rows, tag_count, expand, par);
+          BaselineExpandCost(step, rows, tag_count, expand);
       StepPlan natural;  // baseline access, natural pred order
       natural.seek_pred = -1;
       double base_pred_cost = PredCost(step, natural, expand);
@@ -283,7 +273,7 @@ StatementPlan PlanStatement(const std::vector<BindingDesc>& bindings,
       // scan is the answer, no grouping or merging needed.
       if (first_from_doc && b.single_row &&
           step.axis == PlanAxis::kDescendant) {
-        double c = kScanC * tag_count + kEmitC * expand / par +
+        double c = kScanC * tag_count + kEmitC * expand +
                    PredCost(step, natural, expand);
         if (c < best) {
           best = c;
@@ -313,7 +303,7 @@ StatementPlan PlanStatement(const std::vector<BindingDesc>& bindings,
           double m = pick_m;
           double out = std::min(expand, m);
           double c = kProbeC * (m + 1) + kGroupC * rows +
-                     (kStackC * (rows + m) + kEmitC * out) / par +
+                     (kStackC * (rows + m) + kEmitC * out) +
                      PredCost(step, alt, out);
           if (c < kHysteresis * best) {
             best = c;
@@ -366,9 +356,7 @@ StatementPlan PlanStatement(const std::vector<BindingDesc>& bindings,
         scan_sum += stats.TagCount(s.color, s.tag);
       }
       double out = bp.steps.empty() ? 1.0 : std::max(bp.steps.back().est_out, 1.0);
-      // Leaf-sharded path stack: stack traffic and emission fan out; the
-      // order-restore sort stays serial.
-      double spine = (kStackC * scan_sum + kEmitC * out) / par +
+      double spine = kStackC * scan_sum + kEmitC * out +
                      kEmitC * out * std::log2(out + 2);  // order-restore sort
       if (spine < kHysteresis * chosen_total) {
         bp.use_path_stack = true;
@@ -389,10 +377,6 @@ std::string StatementPlan::Describe() const {
   std::string out =
       StrFormat("PLAN cost %.1f baseline -> %.1f chosen\n", cost_baseline,
                 cost_chosen);
-  if (shard_count > 1) {
-    out += StrFormat("  shard fan-out: %d interval-range shards\n",
-                     shard_count);
-  }
   for (size_t bi = 0; bi < bindings.size(); ++bi) {
     const BindingPlan& bp = bindings[bi];
     out += StrFormat("  binding %zu%s est~%s\n", bi,

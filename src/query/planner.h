@@ -144,9 +144,6 @@ struct StatementPlan {
   std::vector<BindingPlan> bindings;
   double cost_baseline = 0;  // cost-model units of the fixed pipeline
   double cost_chosen = 0;
-  /// Shard fan-out the plan was costed under (StatsProvider::ShardCount);
-  /// shown by EXPLAIN PLAN and part of the plan-cache slice key.
-  int shard_count = 1;
 
   /// EXPLAIN PLAN text: one line per step with access method, estimates and
   /// the cost-model totals.
@@ -162,10 +159,6 @@ class StatsProvider {
   virtual double TagCount(ColorId color, const std::string& tag) const = 0;
   /// Total nodes in `color`'s tree (navigation cost bound).
   virtual double ColorSize(ColorId color) const = 0;
-  /// Intra-process shards of the database (DESIGN.md §17). The cost model
-  /// scales merge/emit work of the shard-parallel descendant paths by the
-  /// fan-out; 1 (the default) reproduces the unsharded model exactly.
-  virtual int ShardCount() const { return 1; }
 };
 
 /// Chooses a physical plan for the statement. Pure function of the IR and

@@ -164,10 +164,6 @@ Result<std::unique_ptr<ColorServer>> ColorServer::Open(const std::string& dir,
       WalWriter::Open(env, WalFilePath(dir), rec.next_lsn,
                       /*truncate=*/false));
   EnsureAllLabels(*rec.db);
-  // Shard-aligned epochs: the seed snapshot publishes with its interval
-  // shard map already built, so no reader session ever pays the build.
-  rec.db->SetShardCount(opts.shard_count);
-  rec.db->EnsureShardMap();
   // Seed epoch = next_lsn: monotone across restarts, so a client that
   // remembers an epoch from a previous incarnation can never mistake an
   // older state for a newer one.
@@ -183,8 +179,6 @@ Status ColorServer::Bootstrap(std::unique_ptr<MctDatabase> db) {
   commit_cv_.wait(lk, [&] { return commit_queue_.empty(); });
   MCT_RETURN_IF_ERROR(broken_);
   EnsureAllLabels(*db);
-  db->SetShardCount(opts_.shard_count);
-  db->EnsureShardMap();
   MCT_RETURN_IF_ERROR(wal_->Sync());
   uint64_t covered = wal_->next_lsn() - 1;
   MCT_RETURN_IF_ERROR(CheckpointDatabase(*db, dir_, covered, env_));
@@ -373,10 +367,6 @@ void ColorServer::ApplyBatch(const std::vector<CommitRequest*>& batch) {
   // Freeze lazy label state before anyone shares the snapshot, then
   // publish — the linearization point of every statement in the batch.
   EnsureAllLabels(*pending);
-  // Rebuild the shard map once per epoch on the committer thread (trial
-  // clones that mutated structure dropped the shared map); reader clones
-  // then share the head's map pointer and never rebuild.
-  pending->EnsureShardMap();
   uint64_t epoch =
       mvcc_.Publish(std::shared_ptr<const MctDatabase>(std::move(pending)));
   {

@@ -59,9 +59,9 @@ class BufferPool {
   /// `capacity_pages` frames over `disk` (not owned). `label` names this
   /// pool's metric instruments: empty (the default) keeps the legacy
   /// process-wide "mct.buffer_pool.*" names, a non-empty label registers
-  /// "mct.buffer_pool.<label>.*" so co-resident pools (per-shard pools,
-  /// side-by-side databases) report hits/misses/evictions separately
-  /// instead of folding into one process-global stream.
+  /// "mct.buffer_pool.<label>.*" so co-resident pools (side-by-side
+  /// databases) report hits/misses/evictions separately instead of folding
+  /// into one process-global stream.
   BufferPool(DiskManager* disk, uint32_t capacity_pages,
              const std::string& label = std::string());
 

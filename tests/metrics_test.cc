@@ -70,9 +70,14 @@ TEST(MetricsTest, HistogramBucketsAndPercentiles) {
   EXPECT_EQ(h.max(), 1000u);
   EXPECT_DOUBLE_EQ(h.Mean(), 1006.0 / 5);
   // The median lands in bucket 2 (upper edge 3); the top of the
-  // distribution reaches 1000's bucket (upper edge 1023).
+  // distribution reaches 1000's bucket, whose upper edge 1023 is clamped
+  // to the observed max.
   EXPECT_EQ(h.ApproxPercentile(0.5), 3u);
   EXPECT_GE(h.ApproxPercentile(1.0), 512u);
+  for (double p : {0.99, 1.0}) {
+    EXPECT_LE(h.ApproxPercentile(p), h.max()) << "p=" << p;
+  }
+  EXPECT_EQ(h.ApproxPercentile(1.0), 1000u);
 }
 
 TEST(MetricsTest, GaugeSetMaxIsMonotone) {

@@ -118,9 +118,8 @@ struct Observation {
 };
 
 // Shared body: randomized readers/writers against a server opened with
-// `opts`; every observation must match the serial unsharded oracle. When
-// the server is sharded this is exactly the ISSUE's differential gate —
-// the oracle replay twin never calls SetShardCount.
+// `opts`; every observation must match the serial replay oracle, and so
+// must the server restarted from its WAL.
 void RunRandomizedReaderDifferential(const ServerOptions& opts) {
   FaultInjectionEnv env;
   auto server = OpenServer(&env, opts);
@@ -195,54 +194,49 @@ void RunRandomizedReaderDifferential(const ServerOptions& opts) {
   }
   EXPECT_GT(checked, 0u);
 
-  // Sharded servers additionally survive a WAL-replay restart: reopen the
-  // directory (no Bootstrap), which recovers the checkpoint + WAL and
-  // rebuilds the shard map before publishing the seed epoch, and compare
-  // the recovered state to the oracle at the final epoch.
-  if (opts.shard_count > 1) {
-    const uint64_t final_epoch = server->head_epoch();
-    server.reset();  // releases the directory lock, flushes nothing extra
-    auto reopened = ColorServer::Open(kDir, opts, &env);
-    ASSERT_TRUE(reopened.ok()) << reopened.status();
-    auto oracle = OracleAt(history, final_epoch);
-    auto session = (*reopened)->Connect();
-    ASSERT_TRUE(session.ok()) << session.status();
-    ASSERT_TRUE((*session)->Begin().ok());
-    // Checkpoint reload renumbers nodes, so compare tag:content in document
-    // order rather than node identity.
-    auto render_values = [](const MctDatabase& db, const mcx::QueryResult& r) {
-      std::string out;
-      for (const mcx::Item& it : r.items) {
-        out += it.is_node ? db.Tag(it.node) + ":" + db.Content(it.node) + ";"
-                          : "a:" + it.atomic + ";";
-      }
-      return out;
-    };
-    for (int qi = 0; qi < 4; ++qi) {
-      auto got = (*session)->Run(kReads[qi]);
-      ASSERT_TRUE(got.ok()) << got.status();
-      mcx::Evaluator ev(oracle.get(), {});
-      auto want = ev.Run(kReads[qi]);
-      ASSERT_TRUE(want.ok()) << want.status();
-      EXPECT_EQ(render_values(*(*session)->snapshot_db(), *got),
-                render_values(*oracle, *want))
-          << "sharded recovery diverged from oracle on query " << qi;
+  // WAL-replay restart: reopen the directory (no Bootstrap), which
+  // recovers the checkpoint + WAL before publishing the seed epoch, and
+  // compare the recovered state to the oracle at the final epoch.
+  const uint64_t final_epoch = server->head_epoch();
+  server.reset();  // releases the directory lock, flushes nothing extra
+  auto reopened = ColorServer::Open(kDir, opts, &env);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  auto oracle = OracleAt(history, final_epoch);
+  auto session = (*reopened)->Connect();
+  ASSERT_TRUE(session.ok()) << session.status();
+  ASSERT_TRUE((*session)->Begin().ok());
+  // Checkpoint reload renumbers nodes, so compare tag:content in document
+  // order rather than node identity.
+  auto render_values = [](const MctDatabase& db, const mcx::QueryResult& r) {
+    std::string out;
+    for (const mcx::Item& it : r.items) {
+      out += it.is_node ? db.Tag(it.node) + ":" + db.Content(it.node) + ";"
+                        : "a:" + it.atomic + ";";
     }
-    ASSERT_TRUE((*session)->Commit().ok());
+    return out;
+  };
+  for (int qi = 0; qi < 4; ++qi) {
+    auto got = (*session)->Run(kReads[qi]);
+    ASSERT_TRUE(got.ok()) << got.status();
+    mcx::Evaluator ev(oracle.get(), {});
+    auto want = ev.Run(kReads[qi]);
+    ASSERT_TRUE(want.ok()) << want.status();
+    EXPECT_EQ(render_values(*(*session)->snapshot_db(), *got),
+              render_values(*oracle, *want))
+        << "recovery diverged from oracle on query " << qi;
   }
+  ASSERT_TRUE((*session)->Commit().ok());
 }
 
 TEST(MvccDifferentialTest, RandomizedReadersMatchSerialOracle) {
   RunRandomizedReaderDifferential(ServerOptions{});
 }
 
-// Interval-range sharding (DESIGN.md §17): 4 shards, concurrent commits —
-// every reader observation still byte-identical to the unsharded serial
-// oracle, and the restarted sharded server replays the WAL to the same
-// state.
-TEST(MvccDifferentialTest, ShardedReadersMatchUnshardedSerialOracle) {
+// Admission capped below the writer count: three writers contend for two
+// commit-path slots, and readers and the restarted server still match the
+// serial oracle.
+TEST(MvccDifferentialTest, GroupedWritersMatchSerialOracle) {
   ServerOptions opts;
-  opts.shard_count = 4;
   opts.max_concurrent_writers = 2;
   RunRandomizedReaderDifferential(opts);
 }
@@ -256,7 +250,10 @@ TEST(MvccDifferentialTest, ShardedReadersMatchUnshardedSerialOracle) {
 // session counts the acceptance criteria name ({2, 8}).
 class MvccStressTest : public ::testing::TestWithParam<int> {};
 
-void RunCommitAtomicityStress(const ServerOptions& opts, int sessions) {
+TEST_P(MvccStressTest, CommitsAtomicEpochsMonotone) {
+  const int sessions = GetParam();
+  ServerOptions opts;
+  opts.max_concurrent_writers = 2;
   FaultInjectionEnv env;
   auto server = OpenServer(&env, opts);
   const int rounds = 64 / sessions + 4;
@@ -319,24 +316,7 @@ void RunCommitAtomicityStress(const ServerOptions& opts, int sessions) {
   EXPECT_EQ(final_count->items.size(), 3 * committed.load());
 }
 
-TEST_P(MvccStressTest, CommitsAtomicEpochsMonotone) {
-  ServerOptions opts;
-  opts.max_concurrent_writers = 2;
-  RunCommitAtomicityStress(opts, GetParam());
-}
-
 INSTANTIATE_TEST_SUITE_P(Sessions, MvccStressTest, ::testing::Values(2, 8));
-
-// The same atomicity battery with 4 interval-range shards: concurrent
-// commits rebuild the shard map once per epoch on the committer thread
-// while readers share the published map pointer — runs under the tsan
-// preset like the rest of this file.
-TEST(ShardedChaosTest, CommitsAtomicEpochsMonotoneAcrossShards) {
-  ServerOptions opts;
-  opts.max_concurrent_writers = 2;
-  opts.shard_count = 4;
-  RunCommitAtomicityStress(opts, 8);
-}
 
 // ---------------------------------------------------------------------------
 // 3. Epoch retirement: versions and COW chunks converge after churn.
@@ -593,8 +573,10 @@ TEST(ServeMaskTest, PlanCacheHitsNeverCrossMaskFingerprints) {
 // under the tsan preset in CI like the rest of this file.
 class MaskedChaosTest : public ::testing::TestWithParam<int> {};
 
-void RunDisjointTenantChaos(ServerOptions opts, int sessions) {
+TEST_P(MaskedChaosTest, DisjointTenantsNeverLeak) {
+  const int sessions = GetParam();
   FaultInjectionEnv env;
+  ServerOptions opts;
   opts.mask_enforcement = mcx::AnalyzeMode::kWarn;
   opts.max_concurrent_writers = 2;
   auto server = OpenServer(&env, opts);
@@ -648,21 +630,7 @@ void RunDisjointTenantChaos(ServerOptions opts, int sessions) {
   for (auto& t : threads) t.join();
 }
 
-TEST_P(MaskedChaosTest, DisjointTenantsNeverLeak) {
-  RunDisjointTenantChaos(ServerOptions{}, GetParam());
-}
-
 INSTANTIATE_TEST_SUITE_P(Sessions, MaskedChaosTest, ::testing::Values(2, 8));
-
-// Masked-tenant sweep over a sharded server: interval pruning happens
-// after mask filtering (ops.cc: MaskBlocks precedes any shard logic), so
-// disjoint tenants stay perfectly isolated at 4 shards under concurrent
-// commit churn.
-TEST(ShardedChaosTest, MaskedTenantsNeverLeakAcrossShards) {
-  ServerOptions opts;
-  opts.shard_count = 4;
-  RunDisjointTenantChaos(opts, 8);
-}
 
 }  // namespace
 }  // namespace mct

@@ -211,63 +211,6 @@ TEST_F(SigmodPlannerDifferential, AllReadStatementsMatchBaseline) {
   ReadDifferential(SigmodCatalog(*data_), mct_, shallow_, deep_);
 }
 
-// ---- Sharded differential: every read statement, every dialect, shard
-// ---- counts {1, 4}, threads {1, 8}, planner on/off — results AND
-// ---- ExecStats must equal the unsharded oracle's (DESIGN.md §17: shard
-// ---- fan-out reorders work but never what is counted or answered).
-
-template <typename DbT>
-void ShardedCatalogDifferential(const std::vector<CatalogQuery>& queries,
-                                DbT* mct_db, DbT* shallow_db, DbT* deep_db) {
-  // One detached clone per (base db, shard count): COW snapshot with its
-  // own shard map; the base stays unsharded as the oracle.
-  std::map<std::pair<MctDatabase*, int>, std::unique_ptr<MctDatabase>> clones;
-  auto sharded = [&](MctDatabase* base, int shards) -> MctDatabase* {
-    auto key = std::make_pair(base, shards);
-    auto it = clones.find(key);
-    if (it == clones.end()) {
-      std::unique_ptr<MctDatabase> c = base->CowClone(/*write_through=*/false);
-      c->SetShardCount(shards);
-      it = clones.emplace(key, std::move(c)).first;
-    }
-    return it->second.get();
-  };
-  for (const CatalogQuery& q : queries) {
-    if (q.is_update) continue;
-    for (const Dialect& d : DialectsOf(q, mct_db, shallow_db, deep_db)) {
-      for (int shards : {1, 4}) {
-        MctDatabase* sdb = sharded(d.db, shards);
-        for (int threads : kThreadCounts) {
-          for (bool planner : {false, true}) {
-            std::string label = q.id + "/" + d.name + "/shard" +
-                                std::to_string(shards) + "/t" +
-                                std::to_string(threads) +
-                                (planner ? "/planned" : "/base");
-            query::ExecStats oracle_stats, shard_stats;
-            auto oracle = RunWith(d.db, d.color, *d.text, planner, threads,
-                                  nullptr, nullptr, nullptr, &oracle_stats);
-            auto got = RunWith(sdb, d.color, *d.text, planner, threads,
-                               nullptr, nullptr, nullptr, &shard_stats);
-            ASSERT_TRUE(oracle.ok()) << label << ": " << oracle.status();
-            ASSERT_TRUE(got.ok()) << label << ": " << got.status();
-            ExpectIdenticalItems(*oracle, *got, label);
-            EXPECT_EQ(oracle_stats, shard_stats)
-                << label << ": ExecStats diverged under sharding";
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST_F(TpcwPlannerDifferential, ShardedRunsMatchUnshardedOracle) {
-  ShardedCatalogDifferential(TpcwCatalog(*data_), mct_, shallow_, deep_);
-}
-
-TEST_F(SigmodPlannerDifferential, ShardedRunsMatchUnshardedOracle) {
-  ShardedCatalogDifferential(SigmodCatalog(*data_), mct_, shallow_, deep_);
-}
-
 // ---- Update statements: planned effect == baseline effect, checked on
 // ---- twin freshly built databases.
 

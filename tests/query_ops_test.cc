@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
+#include "mcx/evaluator.h"
 #include "movie_fixture.h"
 #include "query/ops.h"
 #include "query/table.h"
@@ -18,6 +19,7 @@ namespace {
 
 using testfix::BuildMovieDb;
 using testfix::MovieDb;
+using testfix::MustCreate;
 
 std::multiset<NodeId> ColumnBag(const Table& t, const std::string& var) {
   int c = t.ColumnOf(var);
@@ -475,6 +477,89 @@ TEST_P(ParallelDeterminismProperty, RandomTreesByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelDeterminismProperty,
                          testing::Values(11u, 12u, 13u));
+
+// End-to-end on the movie fixture widened by 300 drama movies (enough rows
+// that 4-row morsels fan out), unmasked and under a red-only mask: every
+// arm, threads {1, 8} x planner {off, on}, returns the serial unplanned
+// run's items (node identity, in order), and the unplanned arms also its
+// ExecStats. The masked blue statements must come back empty.
+TEST(ParallelDeterminismTest, WideMovieStatementsAcrossArmsAndMasks) {
+  MovieDb f = BuildMovieDb();
+  for (int i = 0; i < 300; ++i) {
+    NodeId mv = MustCreate(*f.db, f.red, f.genre_drama, "movie");
+    MustCreate(*f.db, f.red, mv, "name", "bulk-" + std::to_string(i));
+    MustCreate(*f.db, f.red, mv, "movie-role");
+  }
+  const std::string kRedMovies =
+      "for $m in document(\"d\")/{red}descendant::movie return $m";
+  const std::string kBlueActors =
+      "for $a in document(\"d\")/{blue}descendant::actor return $a";
+  const std::string kBlueActorNames =
+      "for $a in document(\"d\")/{blue}descendant::actor/{blue}child::name "
+      "return $a";
+  const std::vector<std::string> queries = {
+      kRedMovies,
+      kBlueActors,
+      kBlueActorNames,
+      "for $n in document(\"d\")/{red}descendant::movie/{red}child::name "
+      "return $n",
+      "for $m in document(\"d\")/{red}descendant::movie"
+      "[{red}child::name = \"City Lights\"] return $m",
+      // Multi-step descendant spine: the planner's PathStackJoin arm.
+      "for $n in document(\"d\")/{red}descendant::movie"
+      "/{red}descendant::name return $n",
+  };
+  auto run = [&](const std::string& text, int threads, bool planner,
+                 const ColorMask& mask, ExecStats* stats) {
+    mcx::EvalOptions o;
+    o.default_color = f.red;
+    o.num_threads = threads;
+    o.morsel_size = 4;
+    o.planner = planner;
+    o.stats = stats;
+    o.mask = mask;
+    // Admit statements naming masked colors; the evaluator filters.
+    o.mask_enforcement = mcx::AnalyzeMode::kWarn;
+    mcx::Evaluator ev(f.db.get(), o);
+    auto r = ev.Run(text);
+    EXPECT_TRUE(r.ok()) << r.status() << " running: " << text;
+    return r.ok() ? std::move(*r) : mcx::QueryResult{};
+  };
+  const ColorMask red_only = ColorMask::AllowOnly(ColorSet::Of(f.red));
+  for (const ColorMask& mask : {ColorMask{}, red_only}) {
+    const std::string mask_name = mask.active ? "red-only" : "unmasked";
+    for (const std::string& q : queries) {
+      ExecStats oracle_stats;
+      const mcx::QueryResult oracle = run(q, 1, false, mask, &oracle_stats);
+      if (mask.active && (q == kBlueActors || q == kBlueActorNames)) {
+        EXPECT_TRUE(oracle.items.empty()) << mask_name << " " << q;
+      }
+      for (int threads : {1, 8}) {
+        for (bool planner : {false, true}) {
+          const std::string label = mask_name + "/t" +
+                                    std::to_string(threads) +
+                                    (planner ? "/planned " : "/base ") + q;
+          ExecStats stats;
+          const mcx::QueryResult got = run(q, threads, planner, mask, &stats);
+          ASSERT_EQ(got.items.size(), oracle.items.size()) << label;
+          for (size_t i = 0; i < got.items.size(); ++i) {
+            EXPECT_EQ(got.items[i].is_node, oracle.items[i].is_node)
+                << label << " item " << i;
+            EXPECT_EQ(got.items[i].node, oracle.items[i].node)
+                << label << " item " << i;
+            EXPECT_EQ(got.items[i].atomic, oracle.items[i].atomic)
+                << label << " item " << i;
+          }
+          // Plans differ in their join anatomy; only the unplanned arms
+          // must count exactly what the oracle counted.
+          if (!planner) {
+            EXPECT_EQ(stats, oracle_stats) << label;
+          }
+        }
+      }
+    }
+  }
+}
 
 // End-to-end: every read query of the TPC-W catalog returns the same item
 // sequence (values, in order) and the same ExecStats whether evaluated
