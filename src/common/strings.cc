@@ -95,10 +95,15 @@ std::string AsciiLower(std::string_view s) {
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);
+  std::string out = StrFormatV(fmt, args);
+  va_end(args);
+  return out;
+}
+
+std::string StrFormatV(const char* fmt, va_list args) {
   va_list args2;
   va_copy(args2, args);
   int n = std::vsnprintf(nullptr, 0, fmt, args);
-  va_end(args);
   std::string out;
   if (n > 0) {
     out.resize(static_cast<size_t>(n));

@@ -3,6 +3,7 @@
 #ifndef COLORFUL_XML_COMMON_STRINGS_H_
 #define COLORFUL_XML_COMMON_STRINGS_H_
 
+#include <cstdarg>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -42,6 +43,10 @@ std::string AsciiLower(std::string_view s);
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// StrFormat over a va_list, for printf-style wrappers. Consumes `args`.
+std::string StrFormatV(const char* fmt, va_list args)
+    __attribute__((format(printf, 1, 0)));
 
 /// Escapes `s` for embedding inside a JSON string literal (quotes,
 /// backslashes, control characters).

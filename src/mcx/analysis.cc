@@ -6,30 +6,11 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "mcx/printer.h"
 
 namespace mct::mcx {
 
 namespace {
-
-const char* AxisName(Axis a) {
-  switch (a) {
-    case Axis::kChild:
-      return "child";
-    case Axis::kDescendant:
-      return "descendant";
-    case Axis::kDescendantOrSelf:
-      return "descendant-or-self";
-    case Axis::kParent:
-      return "parent";
-    case Axis::kAncestor:
-      return "ancestor";
-    case Axis::kSelf:
-      return "self";
-    case Axis::kAttribute:
-      return "attribute";
-  }
-  return "?";
-}
 
 std::string RenderStep(const PathStep& step, const std::string& color) {
   std::string s = color.empty() ? "" : "{" + color + "}";

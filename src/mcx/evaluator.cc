@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdarg>
 #include <set>
 #include <unordered_set>
 
@@ -12,7 +13,6 @@
 #include "serialize/schema.h"
 #include "storage/wal.h"
 #include "query/trace.h"
-#include "query/twig.h"
 #include "xml/escape.h"
 
 namespace mct::mcx {
@@ -406,7 +406,10 @@ Result<QueryResult> Evaluator::RunPlanned(const ParsedQuery& q,
   }
   MCT_RETURN_IF_ERROR(MaybeAnalyze(q));
   if (plan != nullptr) {
-    Note("EXPLAIN PLAN\n" + plan->Describe());
+    // Describe() is the costly part: build the text only for a sink.
+    if (opts_.plan != nullptr) {
+      opts_.plan->push_back("EXPLAIN PLAN\n" + plan->Describe());
+    }
     if (exec_.trace != nullptr) {
       exec_.trace->Leaf("PLAN",
                         StrFormat("cost %.1f baseline -> %.1f chosen",
@@ -655,31 +658,21 @@ std::vector<query::BindingDesc> Evaluator::BuildBindingDescs(
         query::PredDesc p;
         if (pred->kind == Expr::Kind::kNumber) {
           p.positional = true;
-        } else if (pred->kind == Expr::Kind::kCompare &&
-                   pred->cmp == CmpOp::kEq && pred->children.size() == 2 &&
-                   pred->children[1]->kind == Expr::Kind::kString &&
-                   pred->children[0]->kind == Expr::Kind::kPath) {
-          // Mirror of the INDEX PROBE eligibility test in EvalSteps.
-          const PathExpr& lp = pred->children[0]->path;
-          const std::string& lit = pred->children[1]->str;
-          if (lp.start_var.empty() && !lp.from_document &&
-              lp.steps.size() == 1 && lp.steps[0].predicates.empty()) {
-            const PathStep& ps = lp.steps[0];
-            if (ps.axis == Axis::kChild && !ps.tag.empty()) {
+        } else if (std::optional<LiteralCompare> m =
+                       MatchLiteralCompare(*pred);
+                   m.has_value() && m->Probeable(step.tag)) {
+          switch (m->operand) {
+            case LiteralCompare::Operand::kChild:
               p.seek = query::PredDesc::Seek::kChildContent;
-              p.est_matches =
-                  static_cast<double>(db_->ContentLookup(ps.tag, lit).size());
-            } else if (ps.axis == Axis::kAttribute) {
+              break;
+            case LiteralCompare::Operand::kAttr:
               p.seek = query::PredDesc::Seek::kAttr;
-              p.est_matches =
-                  static_cast<double>(db_->AttrLookup(ps.tag, lit).size());
-            } else if (ps.axis == Axis::kSelf && ps.tag.empty() &&
-                       !step.tag.empty()) {
+              break;
+            case LiteralCompare::Operand::kSelf:
               p.seek = query::PredDesc::Seek::kSelfContent;
-              p.est_matches =
-                  static_cast<double>(db_->ContentLookup(step.tag, lit).size());
-            }
+              break;
           }
+          p.est_matches = static_cast<double>(IndexHits(*m, step.tag).size());
         }
         s.preds.push_back(p);
       }
@@ -982,9 +975,9 @@ Result<Evaluator::Bindings> Evaluator::EvalFLWORBindings(
         // must agree, i.e. a node-identity join between the two colored
         // trees.
         tb.table.vars[0] = binding.var + "#rebind";
-        Note(StrFormat("IDENTITY JOIN on rebound %s  (%zu x %zu rows)",
-                       binding.var.c_str(), acc.table.num_rows(),
-                       tb.table.num_rows()));
+        Note("IDENTITY JOIN on rebound %s  (%zu x %zu rows)",
+             binding.var.c_str(), acc.table.num_rows(),
+             tb.table.num_rows());
         Table joined = query::IdentityJoin(db_, acc.table, existing, tb.table,
                                            0, exec_);
         std::vector<int> cols;
@@ -1059,27 +1052,6 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
   ColorId cur_color = in.cols[static_cast<size_t>(cur)].color;
   size_t original_cols = in.table.num_cols();
 
-  if (bplan != nullptr && bplan->use_path_stack) {
-    // The planner never chooses a spine over masked steps (and the plan
-    // cache is fingerprint-sliced), but re-validate here: the holistic join
-    // bypasses the per-step mask filter below.
-    bool spine_masked = false;
-    if (exec_.mask != nullptr) {
-      for (const PathStep& st : steps) {
-        MCT_ASSIGN_OR_RETURN(ColorId sc, ResolveColor(st.color));
-        if (!exec_.mask->CanRead(sc)) {
-          spine_masked = true;
-          break;
-        }
-      }
-    }
-    if (!spine_masked) {
-      MCT_ASSIGN_OR_RETURN(std::optional<Bindings> spine,
-                           EvalSpine(in, ctx_col, steps, out_var));
-      if (spine.has_value()) return *std::move(spine);
-    }
-  }
-
   for (size_t si = 0; si < steps.size(); ++si) {
     if (exec_.governor != nullptr) {
       MCT_RETURN_IF_ERROR(exec_.governor->Check());
@@ -1108,9 +1080,9 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
         // (Illegal before self/attribute/descendant-or-self: those pass
         // context nodes through without a color membership test.)
         in.cols[static_cast<size_t>(cur)].color = c;
-        Note(StrFormat("CROSS-TREE ELIDED %s -> {%s}  (%zu rows)",
-                       in.table.vars[static_cast<size_t>(cur)].c_str(),
-                       db_->ColorName(c).c_str(), in.table.num_rows()));
+        Note("CROSS-TREE ELIDED %s -> {%s}  (%zu rows)",
+             in.table.vars[static_cast<size_t>(cur)].c_str(),
+             db_->ColorName(c).c_str(), in.table.num_rows());
         if (exec_.trace != nullptr) {
           query::OpTrace* n = exec_.trace->Leaf("CROSS-TREE ELIDED");
           n->rows_in = in.table.num_rows();
@@ -1119,9 +1091,9 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
       } else {
         in.table = query::CrossTreeJoin(db_, in.table, cur, c, ctx);
         in.cols[static_cast<size_t>(cur)].color = c;
-        Note(StrFormat("CROSS-TREE JOIN %s -> {%s}  (%zu rows)",
-                       in.table.vars[static_cast<size_t>(cur)].c_str(),
-                       db_->ColorName(c).c_str(), in.table.num_rows()));
+        Note("CROSS-TREE JOIN %s -> {%s}  (%zu rows)",
+             in.table.vars[static_cast<size_t>(cur)].c_str(),
+             db_->ColorName(c).c_str(), in.table.num_rows());
       }
     }
     cur_color = c;
@@ -1154,18 +1126,27 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
                                                 step.tag, col_name, ctx);
             done = true;
           } else if (sp->access == query::StepAccess::kIndexSeek &&
-                     !has_positional) {
-            std::optional<std::vector<NodeId>> cands =
-                SeekCandidates(step, sp->seek_pred, c);
-            if (cands.has_value()) {
-              next = query::ExpandDescendantsAmong(db_, in.table, cur, c,
-                                                   step.tag, *cands, col_name,
-                                                   ctx);
-              consumed_pred = sp->seek_pred;
-              done = true;
+                     !has_positional && sp->seek_pred >= 0 &&
+                     sp->seek_pred <
+                         static_cast<int>(step.predicates.size())) {
+            // Seek shape re-checked through the shared matcher; an unknown
+            // predicate color falls back, so the INDEX PROBE filter raises
+            // the same error the unplanned pipeline would.
+            std::optional<LiteralCompare> m = MatchLiteralCompare(
+                *step.predicates[static_cast<size_t>(sp->seek_pred)]);
+            if (m.has_value() && m->Probeable(step.tag)) {
+              Result<std::vector<NodeId>> cands =
+                  ProbeCandidates(*m, step.tag, c);
+              if (cands.ok()) {
+                next = query::ExpandDescendantsAmong(db_, in.table, cur, c,
+                                                     step.tag, *cands,
+                                                     col_name, ctx);
+                consumed_pred = sp->seek_pred;
+                done = true;
+              }
             }
           } else if (sp->access == query::StepAccess::kNavDescendant &&
-                     in.table.num_rows() <= sp->nav_max_rows) {
+                     in.table.num_rows() <= query::kNavMaxRows) {
             next = query::ExpandDescendantsNav(db_, in.table, cur, c,
                                                step.tag, col_name, ctx);
             done = true;
@@ -1250,58 +1231,20 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
                           ? ColumnInfo{c, true, step.tag}
                           : ColumnInfo{c, false, ""});
     cur = static_cast<int>(in.table.num_cols()) - 1;
-    if (opts_.plan != nullptr) {
-      const char* axis_name =
-          step.axis == Axis::kChild ? "child"
-          : step.axis == Axis::kDescendant ? "descendant"
-          : step.axis == Axis::kDescendantOrSelf ? "descendant-or-self"
-          : step.axis == Axis::kParent ? "parent"
-          : step.axis == Axis::kAncestor ? "ancestor"
-          : step.axis == Axis::kSelf ? "self"
-                                      : "attribute";
-      Note(StrFormat("STRUCTURAL STEP {%s}%s::%s -> %s  (%zu rows)",
-                     db_->ColorName(c).c_str(), axis_name,
-                     step.tag.empty() ? "node()" : step.tag.c_str(),
-                     col_name.c_str(), in.table.num_rows()));
-    }
+    Note("STRUCTURAL STEP {%s}%s::%s -> %s  (%zu rows)",
+         db_->ColorName(c).c_str(), AxisName(step.axis),
+         step.tag.empty() ? "node()" : step.tag.c_str(), col_name.c_str(),
+         in.table.num_rows());
     if (exec_.trace != nullptr && sp != nullptr && sp->est_expand >= 0) {
       exec_.trace->last()->est_rows =
           consumed_pred >= 0 ? sp->est_out : sp->est_expand;
     }
 
-    // Predicate evaluation order: the planner's cheapest-first permutation
-    // when it validates against this step (full coverage, in range, no
-    // duplicates); otherwise the syntactic order. Positional predicates pin
-    // the syntactic order — their result depends on the rows that reach
-    // them. An index-seek's consumed predicate is skipped (the candidate
-    // set enforced it); if the seek did NOT fire, the planner's order
-    // already lists seek_pred, or the natural order covers it.
-    std::vector<int> pred_order;
-    pred_order.reserve(step.predicates.size());
-    for (int i = 0; i < static_cast<int>(step.predicates.size()); ++i) {
-      pred_order.push_back(i);
-    }
-    if (sp != nullptr && !sp->pred_order.empty() && !has_positional) {
-      std::vector<int> cand = sp->pred_order;
-      if (consumed_pred < 0 && sp->seek_pred >= 0) {
-        cand.insert(cand.begin(), sp->seek_pred);
-      }
-      const int n_preds = static_cast<int>(step.predicates.size());
-      std::vector<char> seen(static_cast<size_t>(n_preds), 0);
-      bool valid = static_cast<int>(cand.size()) ==
-                   n_preds - (consumed_pred >= 0 ? 1 : 0);
-      for (int pi : cand) {
-        if (pi < 0 || pi >= n_preds || seen[static_cast<size_t>(pi)] ||
-            pi == consumed_pred) {
-          valid = false;
-          break;
-        }
-        seen[static_cast<size_t>(pi)] = 1;
-      }
-      if (valid) pred_order = std::move(cand);
-    }
-
-    for (int pred_index : pred_order) {
+    // Predicates run in source order; an index seek's consumed predicate
+    // is skipped (the candidate set enforced it).
+    for (int pred_index = 0;
+         pred_index < static_cast<int>(step.predicates.size());
+         ++pred_index) {
       if (pred_index == consumed_pred) continue;
       const auto& pred = step.predicates[static_cast<size_t>(pred_index)];
       const auto pred_t0 = std::chrono::steady_clock::now();
@@ -1323,8 +1266,8 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
           }
           if (++counts[key] == want) keep.push_back(static_cast<uint32_t>(r));
         }
-        Note(StrFormat("POSITION [%lld]  (%zu -> %zu rows)",
-                       static_cast<long long>(want), rows_in, keep.size()));
+        Note("POSITION [%lld]  (%zu -> %zu rows)",
+             static_cast<long long>(want), rows_in, keep.size());
         if (exec_.trace != nullptr) {
           query::OpTrace* n = exec_.trace->Leaf(
               "POSITION", StrFormat("[%lld]", static_cast<long long>(want)));
@@ -1339,50 +1282,20 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
       // the paper built content and attribute-value indexes "where needed"
       // (Section 7): [child::x = "lit"], [@a = "lit"], [. = "lit"] probe
       // the index and semi-join instead of filtering row by row.
-      std::unordered_set<NodeId> probe;
-      bool use_probe = false;
-      if (pred->kind == Expr::Kind::kCompare && pred->cmp == CmpOp::kEq &&
-          pred->children[1]->kind == Expr::Kind::kString &&
-          pred->children[0]->kind == Expr::Kind::kPath) {
-        const PathExpr& lp = pred->children[0]->path;
-        const std::string& lit = pred->children[1]->str;
-        if (lp.start_var.empty() && !lp.from_document &&
-            lp.steps.size() == 1 && lp.steps[0].predicates.empty()) {
-          const PathStep& ps = lp.steps[0];
-          if (ps.axis == Axis::kChild && !ps.tag.empty()) {
-            MCT_ASSIGN_OR_RETURN(ColorId pc, [&]() -> Result<ColorId> {
-              if (ps.color.empty()) return cur_color;
-              return ResolveColor(ps.color);
-            }());
-            for (NodeId hit : db_->ContentLookup(ps.tag, lit)) {
-              auto parent = db_->Parent(hit, pc);
-              if (parent.has_value()) probe.insert(*parent);
-            }
-            use_probe = true;
-          } else if (ps.axis == Axis::kAttribute) {
-            for (NodeId hit : db_->AttrLookup(ps.tag, lit)) {
-              probe.insert(hit);
-            }
-            use_probe = true;
-          } else if (ps.axis == Axis::kSelf && ps.tag.empty() &&
-                     !step.tag.empty()) {
-            for (NodeId hit : db_->ContentLookup(step.tag, lit)) {
-              probe.insert(hit);
-            }
-            use_probe = true;
-          }
-        }
-      }
+      const std::optional<LiteralCompare> lit_cmp = MatchLiteralCompare(*pred);
       const size_t pred_rows_in = in.table.num_rows();
       std::vector<uint32_t> keep;
-      if (use_probe) {
+      if (lit_cmp.has_value() && lit_cmp->Probeable(step.tag)) {
+        MCT_ASSIGN_OR_RETURN(std::vector<NodeId> cands,
+                             ProbeCandidates(*lit_cmp, step.tag, cur_color));
+        const std::unordered_set<NodeId> probe(cands.begin(), cands.end());
         for (size_t i = 0; i < pred_rows_in; ++i) {
           if (probe.contains(in.table.At(i, cur))) {
             keep.push_back(static_cast<uint32_t>(i));
           }
         }
-        Note(StrFormat("INDEX PROBE predicate  (%zu -> %zu rows)",
-                       pred_rows_in, keep.size()));
+        Note("INDEX PROBE predicate  (%zu -> %zu rows)",
+             pred_rows_in, keep.size());
         if (exec_.trace != nullptr) {
           query::OpTrace* n = exec_.trace->Leaf("INDEX PROBE", "predicate");
           n->rows_in = pred_rows_in;
@@ -1403,84 +1316,67 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
         // qualify (single relative step, no step predicates, atomic literal
         // rhs — the node-identity branch of EvalBool cannot trigger).
         bool fast = false;
-        if (pred->kind == Expr::Kind::kCompare &&
-            (pred->children[1]->kind == Expr::Kind::kString ||
-             pred->children[1]->kind == Expr::Kind::kNumber) &&
-            pred->children[0]->kind == Expr::Kind::kPath) {
-          const PathExpr& lp = pred->children[0]->path;
-          if (lp.start_var.empty() && !lp.from_document &&
-              lp.steps.size() == 1 && lp.steps[0].predicates.empty()) {
-            const PathStep& ps = lp.steps[0];
-            const std::string lit =
-                pred->children[1]->kind == Expr::Kind::kString
-                    ? pred->children[1]->str
-                    : FormatNumber(pred->children[1]->num);
-            const CmpOp cmp = pred->cmp;
-            if (ps.axis == Axis::kChild && !ps.tag.empty()) {
-              ColorId pred_color = cur_color;
-              bool color_ok = true;
-              if (!ps.color.empty()) {
-                auto rc = ResolveColor(ps.color);
-                color_ok = rc.ok();
-                if (color_ok) pred_color = *rc;
-              }
-              if (color_ok) {
-                const size_t tag_count = db_->TagCount(pred_color, ps.tag);
-                if (tag_count <= pred_rows_in * 8) {
-                  // Selective tag: compare every tagged node once and
-                  // semi-join the parents, instead of walking each context
-                  // row's full child list (rows with many children — e.g.
-                  // an issue with hundreds of articles — pay one tag-index
-                  // pass instead of rows x fanout child visits).
-                  std::unordered_set<NodeId> hit_parents;
-                  for (NodeId v : db_->TagScan(pred_color, ps.tag)) {
-                    if (!CompareValues(cmp, Atomize(Item::OfNode(v)), lit)) {
-                      continue;
-                    }
-                    auto par = db_->Parent(v, pred_color);
-                    if (par.has_value()) hit_parents.insert(*par);
-                  }
-                  for (size_t i = 0; i < pred_rows_in; ++i) {
-                    mask[i] =
-                        hit_parents.contains(in.table.At(i, cur)) ? 1 : 0;
-                  }
-                } else {
-                  const ColoredTree* tree = db_->tree(pred_color);
-                  MCT_RETURN_IF_ERROR(
-                      ForRows(pred_rows_in, true, [&](size_t i) {
-                        NodeId n = in.table.At(i, cur);
-                        if (!db_->Colors(n).Has(pred_color)) {
-                          return Status::OK();
-                        }
-                        bool hit = false;
-                        tree->ForEachChild(n, [&](NodeId k) {
-                          if (hit ||
-                              db_->Kind(k) != xml::NodeKind::kElement ||
-                              db_->Tag(k) != ps.tag) {
-                            return;
-                          }
-                          if (CompareValues(cmp, Atomize(Item::OfNode(k)),
-                                            lit)) {
-                            hit = true;
-                          }
-                        });
-                        mask[i] = hit ? 1 : 0;
-                        return Status::OK();
-                      }));
+        if (lit_cmp.has_value() &&
+            lit_cmp->operand == LiteralCompare::Operand::kChild) {
+          const std::string& tag = lit_cmp->step->tag;
+          const std::string& lit = lit_cmp->literal;
+          const CmpOp cmp = lit_cmp->cmp;
+          Result<ColorId> rc = lit_cmp->step->color.empty()
+                                   ? Result<ColorId>(cur_color)
+                                   : ResolveColor(lit_cmp->step->color);
+          if (rc.ok()) {
+            const ColorId pred_color = *rc;
+            const size_t tag_count = db_->TagCount(pred_color, tag);
+            if (tag_count <= pred_rows_in * 8) {
+              // Selective tag: compare every tagged node once and
+              // semi-join the parents, instead of walking each context
+              // row's full child list (rows with many children — e.g.
+              // an issue with hundreds of articles — pay one tag-index
+              // pass instead of rows x fanout child visits).
+              std::unordered_set<NodeId> hit_parents;
+              for (NodeId v : db_->TagScan(pred_color, tag)) {
+                if (!CompareValues(cmp, Atomize(Item::OfNode(v)), lit)) {
+                  continue;
                 }
-                fast = true;
+                auto par = db_->Parent(v, pred_color);
+                if (par.has_value()) hit_parents.insert(*par);
               }
-            } else if (ps.axis == Axis::kAttribute) {
+              for (size_t i = 0; i < pred_rows_in; ++i) {
+                mask[i] = hit_parents.contains(in.table.At(i, cur)) ? 1 : 0;
+              }
+            } else {
+              const ColoredTree* tree = db_->tree(pred_color);
               MCT_RETURN_IF_ERROR(ForRows(pred_rows_in, true, [&](size_t i) {
-                const std::string* v =
-                    db_->FindAttr(in.table.At(i, cur), ps.tag);
-                mask[i] =
-                    v != nullptr && CompareValues(cmp, *v, lit) ? 1 : 0;
+                NodeId n = in.table.At(i, cur);
+                if (!db_->Colors(n).Has(pred_color)) return Status::OK();
+                bool hit = false;
+                tree->ForEachChild(n, [&](NodeId k) {
+                  if (hit || db_->Kind(k) != xml::NodeKind::kElement ||
+                      db_->Tag(k) != tag) {
+                    return;
+                  }
+                  if (CompareValues(cmp, Atomize(Item::OfNode(k)), lit)) {
+                    hit = true;
+                  }
+                });
+                mask[i] = hit ? 1 : 0;
                 return Status::OK();
               }));
-              fast = true;
             }
+            fast = true;
           }
+        } else if (lit_cmp.has_value() &&
+                   lit_cmp->operand == LiteralCompare::Operand::kAttr) {
+          MCT_RETURN_IF_ERROR(ForRows(pred_rows_in, true, [&](size_t i) {
+            const std::string* v =
+                db_->FindAttr(in.table.At(i, cur), lit_cmp->step->tag);
+            mask[i] = v != nullptr &&
+                              CompareValues(lit_cmp->cmp, *v, lit_cmp->literal)
+                          ? 1
+                          : 0;
+            return Status::OK();
+          }));
+          fast = true;
         }
         if (!fast) {
           MCT_RETURN_IF_ERROR(
@@ -1499,8 +1395,8 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
         for (size_t i = 0; i < pred_rows_in; ++i) {
           if (mask[i]) keep.push_back(static_cast<uint32_t>(i));
         }
-        Note(StrFormat("FILTER predicate  (%zu -> %zu rows)", pred_rows_in,
-                       keep.size()));
+        Note("FILTER predicate  (%zu -> %zu rows)", pred_rows_in,
+             keep.size());
         if (exec_.trace != nullptr) {
           query::OpTrace* tn = exec_.trace->Leaf("FILTER", "predicate");
           tn->rows_in = pred_rows_in;
@@ -1538,138 +1434,76 @@ Result<Evaluator::Bindings> Evaluator::EvalSteps(
   return out;
 }
 
-Result<std::optional<Evaluator::Bindings>> Evaluator::EvalSpine(
-    const Bindings& in, int ctx_col, const std::vector<PathStep>& steps,
-    const std::string& out_var) {
-  // Runtime re-validation of the spine shape the planner saw: a lone
-  // document-root row and >= 2 predicate-free descendant steps in one
-  // color. Anything else -> nullopt, the caller runs the step loop.
-  if (in.table.num_rows() != 1 || in.table.num_cols() != 1 ||
-      ctx_col != 0 || in.table.vars[0] != "#doc" ||
-      in.table.At(0, 0) != db_->document() || steps.size() < 2) {
-    return std::optional<Bindings>();
-  }
-  ColorId spine_color = kInvalidColorId;
-  for (const PathStep& step : steps) {
-    if (step.axis != Axis::kDescendant || step.tag.empty() ||
-        !step.predicates.empty()) {
-      return std::optional<Bindings>();
-    }
-    MCT_ASSIGN_OR_RETURN(ColorId c, ResolveColor(step.color));
-    if (spine_color == kInvalidColorId) {
-      spine_color = c;
-    } else if (c != spine_color) {
-      return std::optional<Bindings>();
-    }
-  }
-
-  query::TwigPattern pattern;
-  int parent = -1;
-  for (const PathStep& step : steps) {
-    parent = pattern.Add(parent, step.tag, /*child_axis=*/false);
-  }
-  MCT_ASSIGN_OR_RETURN(Table matched,
-                       query::PathStackJoin(db_, spine_color, pattern, exec_));
-  ColoredTree* tree = db_->tree(spine_color);
-  tree->EnsureLabels();
-  const ColoredTree& ct = *tree;
-
-  // Restore the baseline pipeline's row order. Chaining k descendant
-  // expansions from the single document row orders rows lexicographically
-  // by (start(d_k), start(d_{k-1}), ..., start(d_1)) — the stack-tree merge
-  // emits (descendant, ancestor) pairs by descendant start, and each later
-  // expansion re-sorts by its own column with the previous order as the
-  // tie-break. Sorting the twig matches on the reversed tuple is exact.
-  const auto spine_t0 = std::chrono::steady_clock::now();
-  const size_t n_matches = matched.num_rows();
-  const size_t n_spine_cols = matched.num_cols();
-  if (exec_.governor != nullptr) {
-    // The order-restore permutation and the projected output are the
-    // spine's remaining materializations; charge them before allocating.
-    MCT_RETURN_IF_ERROR(exec_.governor->Charge(
-        static_cast<uint64_t>(n_matches) *
-        (sizeof(uint32_t) + 2 * sizeof(NodeId))));
-  }
-  std::vector<uint32_t> order(n_matches);
-  for (size_t i = 0; i < n_matches; ++i) order[i] = static_cast<uint32_t>(i);
-  // `matched` is dense (PathStackJoin output), so the comparator reads the
-  // label columns directly.
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    for (size_t k = n_spine_cols; k-- > 0;) {
-      uint64_t sa = ct.Start(matched.cols[k][a]);
-      uint64_t sb = ct.Start(matched.cols[k][b]);
-      if (sa != sb) return sa < sb;
-    }
-    return false;
-  });
-
-  // Project straight to the step loop's final layout: the original #doc
-  // column plus the last spine node, one row per twig match (duplicates
-  // preserved, exactly as the baseline projection keeps them). Two column
-  // fills: a constant #doc column and a gather of the leaf label column.
-  Bindings out;
-  out.table.vars = in.table.vars;
-  out.table.vars.push_back(out_var);
-  out.cols = in.cols;
-  out.cols.push_back(ColumnInfo{spine_color, false, ""});
-  out.table.cols.resize(2);
-  out.table.cols[0].assign(n_matches, in.table.At(0, 0));
-  const std::vector<NodeId>& leaf = matched.cols.back();
-  out.table.cols[1].reserve(n_matches);
-  for (uint32_t i : order) out.table.cols[1].push_back(leaf[i]);
-  Note(StrFormat("PATH-STACK SPINE {%s} %zu steps -> %s  (%zu rows)",
-                 db_->ColorName(spine_color).c_str(), steps.size(),
-                 out_var.c_str(), out.table.num_rows()));
-  if (exec_.trace != nullptr) {
-    query::OpTrace* n = exec_.trace->Leaf("SPINE ORDER RESTORE");
-    n->rows_in = matched.num_rows();
-    n->rows_out = out.table.num_rows();
-    n->seconds = SecondsSince(spine_t0);
-  }
-  return std::optional<Bindings>(std::move(out));
-}
-
-std::optional<std::vector<NodeId>> Evaluator::SeekCandidates(
-    const PathStep& step, int seek_pred, ColorId step_color) {
-  if (seek_pred < 0 ||
-      seek_pred >= static_cast<int>(step.predicates.size())) {
-    return std::nullopt;
-  }
-  const Expr& pred = *step.predicates[static_cast<size_t>(seek_pred)];
-  if (pred.kind != Expr::Kind::kCompare || pred.cmp != CmpOp::kEq ||
-      pred.children.size() != 2 ||
-      pred.children[1]->kind != Expr::Kind::kString ||
+std::optional<Evaluator::LiteralCompare> Evaluator::MatchLiteralCompare(
+    const Expr& pred) {
+  if (pred.kind != Expr::Kind::kCompare ||
       pred.children[0]->kind != Expr::Kind::kPath) {
     return std::nullopt;
   }
+  const Expr& rhs = *pred.children[1];
+  if (rhs.kind != Expr::Kind::kString && rhs.kind != Expr::Kind::kNumber) {
+    return std::nullopt;
+  }
   const PathExpr& lp = pred.children[0]->path;
-  const std::string& lit = pred.children[1]->str;
   if (!lp.start_var.empty() || lp.from_document || lp.steps.size() != 1 ||
       !lp.steps[0].predicates.empty()) {
     return std::nullopt;
   }
-  const PathStep& ps = lp.steps[0];
-  std::vector<NodeId> cands;
-  if (ps.axis == Axis::kChild && !ps.tag.empty()) {
-    ColorId pc = step_color;
-    if (!ps.color.empty()) {
-      pc = db_->LookupColor(ps.color);
-      // Unknown color: fall back so the baseline probe raises the same
-      // error the unplanned pipeline would.
-      if (pc == kInvalidColorId) return std::nullopt;
-    }
-    for (NodeId hit : db_->ContentLookup(ps.tag, lit)) {
-      std::optional<NodeId> par = db_->Parent(hit, pc);
-      if (par.has_value()) cands.push_back(*par);
-    }
-  } else if (ps.axis == Axis::kAttribute) {
-    cands = db_->AttrLookup(ps.tag, lit);
-  } else if (ps.axis == Axis::kSelf && ps.tag.empty() && !step.tag.empty()) {
-    cands = db_->ContentLookup(step.tag, lit);
+  LiteralCompare m;
+  m.step = &lp.steps[0];
+  if (m.step->axis == Axis::kChild && !m.step->tag.empty()) {
+    m.operand = LiteralCompare::Operand::kChild;
+  } else if (m.step->axis == Axis::kAttribute) {
+    m.operand = LiteralCompare::Operand::kAttr;
+  } else if (m.step->axis == Axis::kSelf && m.step->tag.empty()) {
+    m.operand = LiteralCompare::Operand::kSelf;
   } else {
     return std::nullopt;
   }
-  return cands;
+  m.cmp = pred.cmp;
+  m.string_literal = rhs.kind == Expr::Kind::kString;
+  m.literal = m.string_literal ? rhs.str : FormatNumber(rhs.num);
+  return m;
+}
+
+std::vector<NodeId> Evaluator::IndexHits(const LiteralCompare& m,
+                                         const std::string& step_tag) const {
+  switch (m.operand) {
+    case LiteralCompare::Operand::kChild:
+      return db_->ContentLookup(m.step->tag, m.literal);
+    case LiteralCompare::Operand::kAttr:
+      return db_->AttrLookup(m.step->tag, m.literal);
+    case LiteralCompare::Operand::kSelf:
+      return db_->ContentLookup(step_tag, m.literal);
+  }
+  return {};
+}
+
+Result<std::vector<NodeId>> Evaluator::ProbeCandidates(
+    const LiteralCompare& m, const std::string& step_tag,
+    ColorId ctx_color) const {
+  const bool child = m.operand == LiteralCompare::Operand::kChild;
+  ColorId pc = ctx_color;
+  if (child && !m.step->color.empty()) {
+    MCT_ASSIGN_OR_RETURN(pc, ResolveColor(m.step->color));
+  }
+  std::vector<NodeId> hits = IndexHits(m, step_tag);
+  if (!child) return hits;
+  std::vector<NodeId> parents;
+  parents.reserve(hits.size());
+  for (NodeId hit : hits) {
+    std::optional<NodeId> par = db_->Parent(hit, pc);
+    if (par.has_value()) parents.push_back(*par);
+  }
+  return parents;
+}
+
+void Evaluator::Note(const char* fmt, ...) {
+  if (opts_.plan == nullptr) return;
+  va_list args;
+  va_start(args, fmt);
+  opts_.plan->push_back(StrFormatV(fmt, args));
+  va_end(args);
 }
 
 Result<Evaluator::Bindings> Evaluator::JoinIn(Bindings left, Bindings right,
@@ -1749,9 +1583,9 @@ Result<Evaluator::Bindings> Evaluator::JoinIn(Bindings left, Bindings right,
       for (size_t j = 0; j < cart_rn; ++j) emit(i, j);
     }
     MCT_RETURN_IF_ERROR(materialize());
-    Note(StrFormat("CARTESIAN PRODUCT  (%zu x %zu -> %zu rows)",
-                   left.table.num_rows(), right.table.num_rows(),
-                   out.table.num_rows()));
+    Note("CARTESIAN PRODUCT  (%zu x %zu -> %zu rows)",
+         left.table.num_rows(), right.table.num_rows(),
+         out.table.num_rows());
     trace_join("CARTESIAN PRODUCT");
     return out;
   }
@@ -1799,9 +1633,9 @@ Result<Evaluator::Bindings> Evaluator::JoinIn(Bindings left, Bindings right,
       }
     }
     MCT_RETURN_IF_ERROR(materialize());
-    Note(StrFormat("IDREFS VALUE JOIN  (%zu x %zu -> %zu rows)",
-                   left.table.num_rows(), right.table.num_rows(),
-                   out.table.num_rows()));
+    Note("IDREFS VALUE JOIN  (%zu x %zu -> %zu rows)",
+         left.table.num_rows(), right.table.num_rows(),
+         out.table.num_rows());
     trace_join("IDREFS VALUE JOIN");
     return out;
   }
@@ -1855,9 +1689,9 @@ Result<Evaluator::Bindings> Evaluator::JoinIn(Bindings left, Bindings right,
       }
     }
     MCT_RETURN_IF_ERROR(materialize());
-    Note(StrFormat("HASH VALUE JOIN  (%zu x %zu -> %zu rows)",
-                   left.table.num_rows(), right.table.num_rows(),
-                   out.table.num_rows()));
+    Note("HASH VALUE JOIN  (%zu x %zu -> %zu rows)",
+         left.table.num_rows(), right.table.num_rows(),
+         out.table.num_rows());
     trace_join("HASH VALUE JOIN");
     return out;
   }
@@ -1907,9 +1741,9 @@ Result<Evaluator::Bindings> Evaluator::JoinIn(Bindings left, Bindings right,
     for (uint32_t j : matches[i]) emit(i, j);
   }
   MCT_RETURN_IF_ERROR(materialize());
-  Note(StrFormat("NESTED-LOOP INEQUALITY JOIN  (%zu x %zu -> %zu rows)",
-                 left.table.num_rows(), right.table.num_rows(),
-                 out.table.num_rows()));
+  Note("NESTED-LOOP INEQUALITY JOIN  (%zu x %zu -> %zu rows)",
+       left.table.num_rows(), right.table.num_rows(),
+       out.table.num_rows());
   trace_join("NESTED-LOOP INEQUALITY JOIN");
   return out;
 }

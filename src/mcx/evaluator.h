@@ -122,10 +122,10 @@ struct EvalOptions {
   /// compiled to a logical plan IR, costed against live statistics plus
   /// color-flow cardinality estimates, and the chosen access methods
   /// (scan shortcut / index seek pushdown / navigational descendant /
-  /// path-stack spine / predicate reordering / cross-tree elision) are
-  /// applied. Every planned execution is result-identical to the fixed
-  /// pipeline: each alternative re-validates its preconditions at runtime
-  /// and falls back to the baseline operator otherwise.
+  /// cross-tree elision) are applied. Every planned execution is
+  /// result-identical to the fixed pipeline: each alternative re-validates
+  /// its preconditions at runtime and falls back to the baseline operator
+  /// otherwise.
   bool planner = false;
   /// Normalized-statement plan cache consulted by Run(text) when `planner`
   /// is set: exact-text hits skip parse + plan, literal-normalized hits
@@ -245,19 +245,50 @@ class Evaluator {
                              const std::vector<PathStep>& steps,
                              const std::string& out_var, const Env& env,
                              const query::BindingPlan* bplan = nullptr);
-  /// Whole-binding descendant spine via PathStackJoin, with the baseline
-  /// row order restored by sorting on the reversed start-label tuple.
-  /// Returns nullopt when the runtime shape check fails (caller runs the
-  /// step loop as usual).
-  Result<std::optional<Bindings>> EvalSpine(const Bindings& in, int ctx_col,
-                                            const std::vector<PathStep>& steps,
-                                            const std::string& out_var);
-  /// Builds the candidate node set for an index-seek pushdown by probing
-  /// the content/attribute index with predicate `seek_pred` of `step`.
-  /// nullopt when the predicate no longer matches a probe-eligible shape.
-  std::optional<std::vector<NodeId>> SeekCandidates(const PathStep& step,
-                                                    int seek_pred,
-                                                    ColorId step_color);
+
+  /// A step predicate of the literal shape `[step <cmp> literal]`: one
+  /// relative, predicate-free step compared against a string or numeric
+  /// literal. MatchLiteralCompare is the one recognizer of this shape; the
+  /// planner mirror, the index-seek pushdown, the INDEX PROBE filter and
+  /// the vectorized compare each apply their own eligibility on top.
+  struct LiteralCompare {
+    enum class Operand {
+      kChild,  // [{c}child::tag <cmp> literal], tag non-empty
+      kAttr,   // [@name <cmp> literal]
+      kSelf,   // [. <cmp> literal]
+    };
+    Operand operand = Operand::kChild;
+    CmpOp cmp = CmpOp::kEq;
+    const PathStep* step = nullptr;  // the predicate's single step
+    bool string_literal = false;
+    std::string literal;  // numeric literals in FormatNumber form
+
+    /// Content/attribute-index probe eligibility: string equality, and a
+    /// self compare only on a tagged step (the index is keyed by tag).
+    ///
+    /// The probe has own-content semantics: a child or self operand
+    /// matches only elements whose *own* content equals the literal
+    /// (MctDatabase::ContentLookup), whereas the interpreter atomizes an
+    /// element without own content to its string value. On such elements
+    /// `[{red}child::x = "v"]` keeps fewer rows than the equivalent
+    /// `where` clause — a known divergence, recorded in ROADMAP.md.
+    bool Probeable(const std::string& step_tag) const {
+      return cmp == CmpOp::kEq && string_literal &&
+             (operand != Operand::kSelf || !step_tag.empty());
+    }
+  };
+  static std::optional<LiteralCompare> MatchLiteralCompare(const Expr& pred);
+  /// Raw index hits of a probeable compare on a step tagged `step_tag`:
+  /// the content (child, self) or attribute-value (attr) index lookup.
+  std::vector<NodeId> IndexHits(const LiteralCompare& m,
+                                const std::string& step_tag) const;
+  /// The nodes a probeable compare can keep, for the seek pushdown and the
+  /// INDEX PROBE filter alike: the index hits, lifted to their parents in
+  /// the predicate's color for a child operand (unnamed color = `ctx_color`).
+  /// Fails on an unknown predicate color.
+  Result<std::vector<NodeId>> ProbeCandidates(const LiteralCompare& m,
+                                              const std::string& step_tag,
+                                              ColorId ctx_color) const;
   Result<Bindings> JoinIn(Bindings left, Bindings right, const Expr* conjunct,
                           const Env& env);
   Status ApplyResidual(Bindings* b, const Expr& conjunct, const Env& env);
@@ -318,10 +349,9 @@ class Evaluator {
   /// use), cached for the Evaluator's lifetime.
   const ColorFlowGraph* flow_graph();
 
-  /// Appends a plan-trace line when opts_.plan is set.
-  void Note(std::string line) {
-    if (opts_.plan != nullptr) opts_.plan->push_back(std::move(line));
-  }
+  /// Appends a printf-formatted plan-trace line when opts_.plan is set;
+  /// formats nothing otherwise.
+  void Note(const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 
   void ToXmlRec(NodeId n, ColorId color, std::string* out);
 

@@ -4,8 +4,6 @@
 
 namespace mct::mcx {
 
-namespace {
-
 const char* AxisName(Axis a) {
   switch (a) {
     case Axis::kChild:
@@ -25,6 +23,8 @@ const char* AxisName(Axis a) {
   }
   return "?";
 }
+
+namespace {
 
 const char* CmpName(CmpOp op) {
   switch (op) {

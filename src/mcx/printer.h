@@ -16,6 +16,9 @@ std::string Print(const ParsedQuery& q);
 std::string Print(const Expr& e);
 std::string Print(const PathExpr& p);
 
+/// The axis keyword as written in a path ("child", "descendant", ...).
+const char* AxisName(Axis a);
+
 }  // namespace mct::mcx
 
 #endif  // COLORFUL_XML_MCX_PRINTER_H_

@@ -28,9 +28,6 @@ constexpr double kNavC = 1.5;     // pointer-chasing pre-order visit
 // rough, and flapping between near-equal plans would make benchmarks and
 // EXPLAIN PLAN output noisy for no gain.
 constexpr double kHysteresis = 0.8;
-// Runtime guard for kNavDescendant: if the context table turns out larger
-// than this, the evaluator silently falls back to the baseline merge.
-constexpr uint64_t kNavMaxRows = 64;
 
 double Selectivity(const PredDesc& p, double expand) {
   if (p.positional) return 0.2;  // [N]: keeps ~one row per group
@@ -40,8 +37,8 @@ double Selectivity(const PredDesc& p, double expand) {
   return 0.5;  // unknown predicate: coin flip
 }
 
-/// Cost of evaluating `preds` (minus the consumed seek pred) over
-/// `rows` rows, cheapest-first when reordering is legal.
+/// Cost of evaluating `preds` in source order (minus the consumed seek
+/// pred) over `rows` rows.
 double PredCost(const StepDesc& step, const StepPlan& sp, double rows) {
   double cost = 0;
   for (int i = 0; i < static_cast<int>(step.preds.size()); ++i) {
@@ -129,49 +126,6 @@ double BaselineExpandCost(const StepDesc& step, double in_rows,
       return kScanC * in_rows;
   }
   return kScanC * in_rows;
-}
-
-/// Fills pred_order: index-seekable predicates first (most selective
-/// first), the rest in source order. Only legal without positionals.
-void OrderPreds(const StepDesc& step, StepPlan* sp) {
-  sp->pred_order.clear();
-  if (step.preds.empty() || HasPositional(step)) return;
-  std::vector<int> order;
-  for (int i = 0; i < static_cast<int>(step.preds.size()); ++i) {
-    if (i != sp->seek_pred) order.push_back(i);
-  }
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    const PredDesc& pa = step.preds[static_cast<size_t>(a)];
-    const PredDesc& pb = step.preds[static_cast<size_t>(b)];
-    bool sa = pa.seek != PredDesc::Seek::kNone;
-    bool sb = pb.seek != PredDesc::Seek::kNone;
-    if (sa != sb) return sa;  // probes before interpreted filters
-    if (sa && sb && pa.est_matches >= 0 && pb.est_matches >= 0) {
-      return pa.est_matches < pb.est_matches;
-    }
-    return false;
-  });
-  sp->pred_order = std::move(order);
-}
-
-/// A binding qualifies for one holistic PathStackJoin when it is a pure
-/// multi-step descendant spine in one color from the document: the join
-/// produces exactly the baseline's row set (property-tested equal to the
-/// composed binary joins) and the evaluator re-sorts to the baseline
-/// order.
-bool SpineEligible(const BindingDesc& b) {
-  if (!b.doc_context || !b.single_row) return false;
-  if (b.steps.size() < 2) return false;
-  for (size_t i = 0; i < b.steps.size(); ++i) {
-    const StepDesc& s = b.steps[i];
-    if (s.masked) return false;  // visibility layer empties the step
-    if (s.axis != PlanAxis::kDescendant) return false;
-    if (s.tag.empty()) return false;
-    if (!s.preds.empty()) return false;
-    if (s.color != b.steps[0].color) return false;
-    if (i > 0 && s.color_change) return false;
-  }
-  return true;
 }
 
 const char* AccessName(StepAccess a) {
@@ -331,15 +285,12 @@ StatementPlan PlanStatement(const std::vector<BindingDesc>& bindings,
           best = c;
           sp.access = StepAccess::kNavDescendant;
           sp.seek_pred = -1;
-          sp.nav_max_rows = kNavMaxRows;
         }
       }
 
-      OrderPreds(step, &sp);
       chosen_total += best + cross_cost;
 
-      // Row estimate leaving the step (order of predicate application does
-      // not change the estimate).
+      // Row estimate leaving the step.
       double out = expand;
       for (const PredDesc& p : step.preds) {
         out *= Selectivity(p, expand);
@@ -347,21 +298,6 @@ StatementPlan PlanStatement(const std::vector<BindingDesc>& bindings,
       out = std::max(out, 0.0);
       sp.est_out = out;
       rows = std::max(out, 1e-3);
-    }
-
-    // Whole-binding alternative: holistic path-stack spine.
-    if (SpineEligible(b)) {
-      double scan_sum = 0;
-      for (const StepDesc& s : b.steps) {
-        scan_sum += stats.TagCount(s.color, s.tag);
-      }
-      double out = bp.steps.empty() ? 1.0 : std::max(bp.steps.back().est_out, 1.0);
-      double spine = kStackC * scan_sum + kEmitC * out +
-                     kEmitC * out * std::log2(out + 2);  // order-restore sort
-      if (spine < kHysteresis * chosen_total) {
-        bp.use_path_stack = true;
-        chosen_total = spine;
-      }
     }
 
     bp.est_rows = b.steps.empty() ? b.in_rows
@@ -379,8 +315,7 @@ std::string StatementPlan::Describe() const {
                 cost_chosen);
   for (size_t bi = 0; bi < bindings.size(); ++bi) {
     const BindingPlan& bp = bindings[bi];
-    out += StrFormat("  binding %zu%s est~%s\n", bi,
-                     bp.use_path_stack ? ": path-stack spine" : "",
+    out += StrFormat("  binding %zu est~%s\n", bi,
                      FmtEst(bp.est_rows).c_str());
     for (size_t si = 0; si < bp.steps.size(); ++si) {
       const StepPlan& sp = bp.steps[si];
@@ -389,14 +324,6 @@ std::string StatementPlan::Describe() const {
         out += StrFormat(" pred#%d", sp.seek_pred);
       }
       if (sp.elide_cross_tree) out += " elide-cross-tree";
-      if (!sp.pred_order.empty()) {
-        out += " preds[";
-        for (size_t i = 0; i < sp.pred_order.size(); ++i) {
-          if (i) out += ",";
-          out += StrFormat("%d", sp.pred_order[i]);
-        }
-        out += "]";
-      }
       out += StrFormat("  est %s -> %s -> %s\n", FmtEst(sp.est_in).c_str(),
                        FmtEst(sp.est_expand).c_str(),
                        FmtEst(sp.est_out).c_str());

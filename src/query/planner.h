@@ -19,9 +19,8 @@
 //                   walk) instead of scanning the whole tag stream
 //
 // plus cross-tree-join elision (when the next axis operator color-filters
-// anyway), selectivity-ordered predicate evaluation, and a whole-binding
-// holistic PathStackJoin for multi-step descendant spines (Section 7.2's
-// structural-join cost asymmetry; Bruno et al., the paper's ref [8]).
+// anyway). Step predicates always run in source order, minus the one an
+// index seek consumed.
 //
 // Hard determinism contract: every plan alternative is result-identical —
 // same rows, same order — to the fixed pipeline (tests/planner_test.cc
@@ -67,12 +66,12 @@ enum class PlanAxis {
 
 /// One step predicate, pre-digested for costing.
 struct PredDesc {
-  /// Positional predicate [N]: order-sensitive, freezes reordering and
-  /// pushdown for the whole step.
+  /// Positional predicate [N]: order-sensitive, blocks index-seek pushdown
+  /// for the whole step.
   bool positional = false;
-  /// Index-seekable equality shapes; must mirror the evaluator's
-  /// index-probe eligibility exactly, so pushdown == the probe the fixed
-  /// pipeline would run anyway, just hoisted before the expansion.
+  /// Index-seekable equality shape, computed by the evaluator's shared
+  /// literal-predicate matcher, so pushdown == the probe the fixed pipeline
+  /// would run anyway, just hoisted before the expansion.
   enum class Seek { kNone, kChildContent, kAttr, kSelfContent };
   Seek seek = Seek::kNone;
   /// Live index hit count for the literal (content/attr index probe taken
@@ -88,8 +87,8 @@ struct StepDesc {
   /// The fixed pipeline inserts a cross-tree join before this step.
   bool color_change = false;
   /// The session's visibility mask hides this step's color: the evaluator
-  /// empties it at runtime, so the planner must not spend index seeks or
-  /// spine machinery on it (and must not elide the cross-tree filter).
+  /// empties it at runtime, so the planner must not spend an index seek or
+  /// shortcut on it (and must not elide the cross-tree filter).
   bool masked = false;
   std::vector<PredDesc> preds;
   /// Color-flow lattice estimate of this step's output cardinality
@@ -102,13 +101,18 @@ struct BindingDesc {
   /// The context column holds the shared document node.
   bool doc_context = false;
   /// The context table is exactly the one seed row (uncorrelated binding
-  /// from document()): scan-shortcut and spine plans become legal.
+  /// from document()): the scan-shortcut plan becomes legal.
   bool single_row = false;
   double in_rows = 1;  // estimated context cardinality
   std::vector<StepDesc> steps;
 };
 
 enum class StepAccess { kBaseline, kScanShortcut, kIndexSeek, kNavDescendant };
+
+/// kNavDescendant row guard: the planner considers navigation only for at
+/// most this many estimated context rows, and the evaluator falls back to
+/// the baseline merge when the actual context table is larger.
+inline constexpr uint64_t kNavMaxRows = 64;
 
 /// The physical choice for one step.
 struct StepPlan {
@@ -118,22 +122,12 @@ struct StepPlan {
   /// Skip the cross-tree join: the next axis operator drops rows lacking
   /// the color anyway (legal for child/descendant/parent/ancestor only).
   bool elide_cross_tree = false;
-  /// Evaluation order over the remaining predicates (indices into
-  /// StepDesc::preds, seek_pred excluded). Empty = natural order, all.
-  std::vector<int> pred_order;
-  /// kNavDescendant runtime guard: fall back to the baseline merge when the
-  /// actual input row count exceeds this (estimates were off).
-  uint64_t nav_max_rows = 0;
   double est_in = -1;      // estimated rows entering the step
   double est_expand = -1;  // estimated rows after the axis expansion
   double est_out = -1;     // estimated rows after this step's predicates
 };
 
 struct BindingPlan {
-  /// Evaluate the whole binding with one holistic PathStackJoin (multi-step
-  /// same-color descendant spine from the document, no predicates) and
-  /// restore the pipeline's row order; per-step plans are the fallback.
-  bool use_path_stack = false;
   std::vector<StepPlan> steps;
   double est_rows = -1;  // estimated binding output cardinality
 };

@@ -10,8 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -155,6 +153,50 @@ TpcwDb* TpcwPlannerDifferential::deep_ = nullptr;
 
 TEST_F(TpcwPlannerDifferential, AllReadStatementsMatchBaseline) {
   ReadDifferential(TpcwCatalog(*data_), mct_, shallow_, deep_);
+}
+
+// Which planner arms the MCT reads select: the differential above only
+// covers an arm some catalog statement actually picks, so a cost-model
+// drift that stops choosing one would silently drop it from the check.
+struct ArmTally {
+  int scan_shortcut = 0;
+  int index_seek = 0;
+  int nav = 0;
+  int elide_cross_tree = 0;
+};
+
+template <typename DbT>
+void TallyMctArms(const std::vector<CatalogQuery>& queries, DbT* mct_db,
+                  ArmTally* tally) {
+  mcx::EvalOptions o;
+  o.default_color = mct_db->default_color();
+  mcx::Evaluator ev(mct_db->db.get(), o);
+  for (const CatalogQuery& q : queries) {
+    if (q.is_update) continue;
+    auto parsed = mcx::Parse(q.mct);
+    ASSERT_TRUE(parsed.ok()) << q.id << ": " << parsed.status();
+    for (const query::BindingPlan& b : ev.PlanFor(*parsed).bindings) {
+      for (const query::StepPlan& sp : b.steps) {
+        tally->scan_shortcut += sp.access == query::StepAccess::kScanShortcut;
+        tally->index_seek += sp.access == query::StepAccess::kIndexSeek;
+        tally->nav += sp.access == query::StepAccess::kNavDescendant;
+        tally->elide_cross_tree += sp.elide_cross_tree;
+      }
+    }
+  }
+}
+
+TEST_F(TpcwPlannerDifferential, EveryPlannerArmIsExercised) {
+  ArmTally tally;
+  TallyMctArms(TpcwCatalog(*data_), mct_, &tally);
+  SigmodData sigmod = GenerateSigmod(SigmodScale::Tiny());
+  SigmodDb sigmod_mct =
+      std::move(BuildSigmod(sigmod, SchemaKind::kMct)).value();
+  TallyMctArms(SigmodCatalog(sigmod), &sigmod_mct, &tally);
+  EXPECT_GE(tally.scan_shortcut, 1);
+  EXPECT_GE(tally.index_seek, 1);
+  EXPECT_GE(tally.nav, 1);
+  EXPECT_GE(tally.elide_cross_tree, 1);
 }
 
 TEST_F(TpcwPlannerDifferential, CachedRunsMatchBaseline) {
@@ -413,30 +455,7 @@ TEST(PlanStatementTest, SelectiveSeekBeatsFullScan) {
   EXPECT_NE(plan.Describe().find("index-seek"), std::string::npos);
 }
 
-TEST(PlanStatementTest, SelectiveTwigChoosesPathStackSpine) {
-  query::BindingDesc b;
-  b.doc_context = true;
-  b.single_row = true;
-  query::StepDesc s1;
-  s1.axis = query::PlanAxis::kDescendant;
-  s1.tag = "bulk";
-  s1.flow_out = 50000;
-  query::StepDesc s2;
-  s2.axis = query::PlanAxis::kDescendant;
-  s2.tag = "rare";
-  s2.flow_out = 100;
-  b.steps = {s1, s2};
-  // TagCount is the same for both tags here; the spine wins because it
-  // never materializes the 50000-row intermediate.
-  FakeStats stats(/*tag_count=*/50000, /*color_size=*/200000);
-  query::StatementPlan plan = query::PlanStatement({b}, stats);
-  ASSERT_EQ(plan.bindings.size(), 1u);
-  EXPECT_TRUE(plan.bindings[0].use_path_stack);
-  EXPECT_LT(plan.cost_chosen, plan.cost_baseline);
-  EXPECT_NE(plan.Describe().find("path-stack spine"), std::string::npos);
-}
-
-TEST(PlanStatementTest, PositionalPredicatePinsOrderAndBlocksSeek) {
+TEST(PlanStatementTest, PositionalPredicateBlocksSeek) {
   query::BindingDesc b;
   b.doc_context = true;
   b.single_row = true;
@@ -454,42 +473,6 @@ TEST(PlanStatementTest, PositionalPredicatePinsOrderAndBlocksSeek) {
   query::StatementPlan plan = query::PlanStatement({b}, stats);
   ASSERT_EQ(plan.bindings[0].steps.size(), 1u);
   EXPECT_NE(plan.bindings[0].steps[0].access, query::StepAccess::kIndexSeek);
-  EXPECT_TRUE(plan.bindings[0].steps[0].pred_order.empty());
-}
-
-// ---- End-to-end spine execution on a crafted selective twig.
-
-TEST(PlannerSpineTest, SpineExecutionMatchesBaseline) {
-  auto db = std::make_unique<MctDatabase>();
-  ColorId red = std::move(db->RegisterColor("red")).value();
-  NodeId root = db->document();
-  // 200 bulk nodes; only 5 carry a rare descendant — the shape where the
-  // holistic path-stack join beats materializing the intermediate step.
-  for (int i = 0; i < 200; ++i) {
-    NodeId a = testfix::MustCreate(*db, red, root, "a");
-    if (i % 40 == 0) {
-      NodeId mid = testfix::MustCreate(*db, red, a, "mid");
-      testfix::MustCreate(*db, red, mid, "b", "v" + std::to_string(i));
-    }
-  }
-  const std::string q =
-      "for $b in document(\"d\")/{red}descendant::a/{red}descendant::b return $b";
-  std::vector<std::string> notes;
-  auto planned = RunWith(db.get(), red, q, true, 1, nullptr, &notes);
-  auto base = RunWith(db.get(), red, q, false, 1);
-  ASSERT_TRUE(base.ok()) << base.status();
-  ASSERT_TRUE(planned.ok()) << planned.status();
-  ASSERT_EQ(base->items.size(), 5u);
-  ExpectIdenticalItems(*base, *planned, "spine");
-  bool spine_used = false;
-  for (const std::string& n : notes) {
-    if (n.find("PATH-STACK SPINE") != std::string::npos) spine_used = true;
-  }
-  EXPECT_TRUE(spine_used) << "plan notes:\n" + [&] {
-    std::string all;
-    for (const auto& n : notes) all += n + "\n";
-    return all;
-  }();
 }
 
 // ---- EXPLAIN PLAN surfacing.

@@ -505,7 +505,8 @@ TEST(ParallelDeterminismTest, WideMovieStatementsAcrossArmsAndMasks) {
       "return $n",
       "for $m in document(\"d\")/{red}descendant::movie"
       "[{red}child::name = \"City Lights\"] return $m",
-      // Multi-step descendant spine: the planner's PathStackJoin arm.
+      // Two-step descendant path: the second step expands a multi-row
+      // context.
       "for $n in document(\"d\")/{red}descendant::movie"
       "/{red}descendant::name return $n",
   };
