@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/metrics.h"
 #include "common/strings.h"
 
 namespace mct {
@@ -15,9 +16,9 @@ MctDatabase::MctDatabase(std::unique_ptr<StorageEnv> env)
       tag_index_(std::make_shared<BPlusTree>(env_->pool())),
       content_index_(std::make_shared<BPlusTree>(env_->pool())),
       attr_index_(std::make_shared<BPlusTree>(env_->pool())),
-      tag_image_(std::make_shared<IndexMap>()),
-      content_image_(std::make_shared<IndexMap>()),
-      attr_image_(std::make_shared<IndexMap>()) {
+      tag_image_(std::make_shared<IndexImage>()),
+      content_image_(std::make_shared<IndexImage>()),
+      attr_image_(std::make_shared<IndexImage>()) {
   auto doc = store_.CreateNode(xml::NodeKind::kDocument, "#document");
   assert(doc.ok());
   document_ = *doc;
@@ -57,40 +58,85 @@ uint32_t MctDatabase::HashValue(std::string_view s) {
   return h;
 }
 
-void MctDatabase::ImageInsert(std::shared_ptr<IndexMap>* image, uint64_t key,
-                              NodeId n) {
-  if (image->use_count() > 1) {
-    *image = std::make_shared<IndexMap>(**image);
-  }
-  PostingList& slot = (**image)[key];
-  auto next = slot == nullptr ? std::make_shared<std::vector<NodeId>>()
-                              : std::make_shared<std::vector<NodeId>>(*slot);
-  auto it = std::lower_bound(next->begin(), next->end(), n);
-  if (it == next->end() || *it != n) next->insert(it, n);
-  slot = std::move(next);
+namespace {
+
+Counter* ImageCopiedEntries() {
+  static Counter* c =
+      MetricsRegistry::Global().counter("mct.index.image_copied_entries");
+  return c;
 }
 
-void MctDatabase::ImageErase(std::shared_ptr<IndexMap>* image, uint64_t key,
+// The posting list in `slot`, privately owned: copied once when another
+// version shares it (with room for one more posting).
+std::vector<NodeId>& OwnList(std::shared_ptr<std::vector<NodeId>>* slot) {
+  if (slot->use_count() > 1) {
+    const std::vector<NodeId>& shared = **slot;
+    ImageCopiedEntries()->Inc(shared.size());
+    auto copy = std::make_shared<std::vector<NodeId>>();
+    copy->reserve(shared.size() + 1);
+    copy->assign(shared.begin(), shared.end());
+    *slot = std::move(copy);
+  }
+  return **slot;
+}
+
+}  // namespace
+
+MctDatabase::Shard& MctDatabase::OwnShard(std::shared_ptr<IndexImage>* image,
+                                          uint64_t key) {
+  if (image->use_count() > 1) {
+    *image = std::make_shared<IndexImage>(**image);
+  }
+  std::shared_ptr<Shard>& shard = (**image)[ShardOf(key)];
+  if (shard == nullptr) {
+    shard = std::make_shared<Shard>();
+  } else if (shard.use_count() > 1) {
+    ImageCopiedEntries()->Inc(shard->size());
+    shard = std::make_shared<Shard>(*shard);
+  }
+  return *shard;
+}
+
+void MctDatabase::ImageInsert(std::shared_ptr<IndexImage>* image,
+                              uint64_t key, NodeId n) {
+  PostingList& slot = OwnShard(image, key)[key];
+  if (slot == nullptr) {
+    slot = std::make_shared<std::vector<NodeId>>(1, n);
+    return;
+  }
+  std::vector<NodeId>& list = OwnList(&slot);
+  // Node ids rise while a document loads, so appends dominate.
+  if (list.back() < n) {
+    list.push_back(n);
+    return;
+  }
+  auto it = std::lower_bound(list.begin(), list.end(), n);
+  if (*it != n) list.insert(it, n);
+}
+
+void MctDatabase::ImageErase(std::shared_ptr<IndexImage>* image, uint64_t key,
                              NodeId n) {
-  if (image->use_count() > 1) {
-    *image = std::make_shared<IndexMap>(**image);
+  const std::vector<NodeId>* found = ImageFind(**image, key);
+  if (found == nullptr ||
+      !std::binary_search(found->begin(), found->end(), n)) {
+    return;
   }
-  auto f = (*image)->find(key);
-  if (f == (*image)->end()) return;
-  auto next = std::make_shared<std::vector<NodeId>>(*f->second);
-  auto it = std::lower_bound(next->begin(), next->end(), n);
-  if (it != next->end() && *it == n) next->erase(it);
-  if (next->empty()) {
-    (*image)->erase(f);
-  } else {
-    f->second = std::move(next);
+  Shard& shard = OwnShard(image, key);
+  auto f = shard.find(key);
+  if (f->second->size() == 1) {
+    shard.erase(f);
+    return;
   }
+  std::vector<NodeId>& list = OwnList(&f->second);
+  list.erase(std::lower_bound(list.begin(), list.end(), n));
 }
 
-const std::vector<NodeId>* MctDatabase::ImageFind(const IndexMap& image,
+const std::vector<NodeId>* MctDatabase::ImageFind(const IndexImage& image,
                                                   uint64_t key) {
-  auto it = image.find(key);
-  return it == image.end() ? nullptr : it->second.get();
+  const Shard* shard = image[ShardOf(key)].get();
+  if (shard == nullptr) return nullptr;
+  auto it = shard->find(key);
+  return it == shard->end() ? nullptr : it->second.get();
 }
 
 Result<ColorId> MctDatabase::RegisterColor(std::string_view name) {

@@ -19,8 +19,11 @@
 // MVCC (DESIGN.md §14): CowClone() snapshots the whole database in time
 // proportional to (nodes / 64): node and structural chunks are shared
 // copy-on-write, and the tag/content/attribute indexes are *resident
-// images* — hash maps of immutable posting lists shared between versions
-// and copied per-bucket on write. The query path reads only the resident
+// images* — fixed fan-out directories of shard maps from key to posting
+// list, shared between versions and copied per key on write. An index
+// write copies the directory pointers, the one shard it touches and that
+// key's posting list, never the whole image; a version that owns a list
+// alone mutates it in place. The query path reads only the resident
 // state, never the (single-threaded) buffer pool; the backing files and
 // B+Trees survive purely for Table-1 accounting, written by the
 // write-through committer lineage alone. Index entries exist only for
@@ -31,6 +34,7 @@
 #ifndef COLORFUL_XML_MCT_DATABASE_H_
 #define COLORFUL_XML_MCT_DATABASE_H_
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -189,12 +193,18 @@ class MctDatabase {
   static uint32_t HashValue(std::string_view s);
 
  private:
-  // Resident index image: immutable posting lists (sorted by node id)
-  // behind a per-version map. Mutation copies the map when shared with
-  // another version (bucket-shallow) and always replaces the touched
-  // posting list, so published versions stay frozen.
-  using PostingList = std::shared_ptr<const std::vector<NodeId>>;
-  using IndexMap = std::unordered_map<uint64_t, PostingList>;
+  // Resident index image: posting lists (sorted by node id) in shard maps
+  // behind a fixed fan-out directory; a multiplicative hash of the key
+  // picks the shard. Directory, shards and lists are shared between
+  // versions through shared_ptr. A write privatizes each level it passes
+  // through only when another version holds it (use_count() > 1, the
+  // CowChunkVector thread model of common/cow.h), then mutates the list in
+  // place, so published versions stay frozen and a write copies one shard
+  // and one list rather than the image.
+  using PostingList = std::shared_ptr<std::vector<NodeId>>;
+  using Shard = std::unordered_map<uint64_t, PostingList>;
+  static constexpr int kImageShardBits = 10;
+  using IndexImage = std::array<std::shared_ptr<Shard>, 1u << kImageShardBits>;
 
   MctDatabase(const MctDatabase& o, bool write_through);
 
@@ -204,11 +214,17 @@ class MctDatabase {
   static uint64_t ValueKey(NameId name, uint32_t hash) {
     return (uint64_t{name} << 32) | hash;
   }
-  static void ImageInsert(std::shared_ptr<IndexMap>* image, uint64_t key,
+  static size_t ShardOf(uint64_t key) {
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                               (64 - kImageShardBits));
+  }
+  /// The shard holding `key`, privately owned by this version.
+  static Shard& OwnShard(std::shared_ptr<IndexImage>* image, uint64_t key);
+  static void ImageInsert(std::shared_ptr<IndexImage>* image, uint64_t key,
                           NodeId n);
-  static void ImageErase(std::shared_ptr<IndexMap>* image, uint64_t key,
+  static void ImageErase(std::shared_ptr<IndexImage>* image, uint64_t key,
                          NodeId n);
-  static const std::vector<NodeId>* ImageFind(const IndexMap& image,
+  static const std::vector<NodeId>* ImageFind(const IndexImage& image,
                                               uint64_t key);
 
   /// True when the node's content/attribute values are index-visible (it
@@ -231,9 +247,9 @@ class MctDatabase {
   // (attr name, hash(value), node) -> node.
   std::shared_ptr<BPlusTree> attr_index_;
   // Resident images keyed TagKey / ValueKey.
-  std::shared_ptr<IndexMap> tag_image_;
-  std::shared_ptr<IndexMap> content_image_;
-  std::shared_ptr<IndexMap> attr_image_;
+  std::shared_ptr<IndexImage> tag_image_;
+  std::shared_ptr<IndexImage> content_image_;
+  std::shared_ptr<IndexImage> attr_image_;
   bool write_through_ = true;
 };
 

@@ -309,7 +309,9 @@ void ColorServer::ApplyBatch(const std::vector<CommitRequest*>& batch) {
 
   std::shared_ptr<const MctDatabase> base = mvcc_.Head();
   const uint64_t base_epoch = mvcc_.head_epoch();
-  std::unique_ptr<MctDatabase> pending = base->CowClone(/*write_through=*/true);
+  // The state the next statement applies to: base until a statement
+  // succeeds, then that statement's trial clone.
+  std::unique_ptr<MctDatabase> pending;
   std::vector<CommitRequest*> applied;
   for (CommitRequest* r : batch) {
     // Statement atomicity: apply against a trial clone of the pending
@@ -317,7 +319,9 @@ void ColorServer::ApplyBatch(const std::vector<CommitRequest*>& batch) {
     // the trial whole instead of leaving the batch half-mutated. A request
     // cancelled or expired while it sat in the queue is shed by the
     // evaluator's entry check before any work happens.
-    std::unique_ptr<MctDatabase> trial = pending->CowClone(true);
+    const MctDatabase& source = pending != nullptr ? *pending : *base;
+    std::unique_ptr<MctDatabase> trial =
+        source.CowClone(/*write_through=*/true);
     MemoryBudget stmt_budget(
         opts_.statement_memory_limit,
         opts_.total_memory_limit > 0 ? &total_budget_ : nullptr);

@@ -52,10 +52,11 @@ BufferPool::BufferPool(DiskManager* disk, uint32_t capacity_pages,
           MetricsRegistry::Global().counter(PoolMetricName(label, "misses"))),
       m_evictions_(MetricsRegistry::Global().counter(
           PoolMetricName(label, "evictions"))) {
+  // Frame buffers are allocated on first use (GetVictimFrame): a pool
+  // sized for the worst case costs only the pages it ever holds.
   frames_.resize(capacity_pages);
   free_frames_.reserve(capacity_pages);
   for (uint32_t i = 0; i < capacity_pages; ++i) {
-    frames_[i].data = std::make_unique<char[]>(kPageSize);
     free_frames_.push_back(capacity_pages - 1 - i);
   }
 }
@@ -139,6 +140,11 @@ Result<uint32_t> BufferPool::GetVictimFrame() {
   if (!free_frames_.empty()) {
     uint32_t frame = free_frames_.back();
     free_frames_.pop_back();
+    Frame& f = frames_[frame];
+    if (f.data == nullptr) {
+      // Left uninitialized: NewPage zeroes the frame, FetchPage fills it.
+      f.data = std::make_unique_for_overwrite<char[]>(kPageSize);
+    }
     return frame;
   }
   if (lru_.empty()) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <set>
 #include <unordered_map>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "mct/color.h"
 #include "mct/database.h"
@@ -535,6 +538,195 @@ TEST_P(RandomMctProperty, InvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomMctProperty,
                          testing::Values(11u, 22u, 33u, 44u));
+
+// ---- Index images are versioned per key ----
+
+// A brute-force picture of what the three resident indexes must answer,
+// derived from the colored trees and the node store alone.
+struct IndexModel {
+  // (color, tag) -> elements in local document order.
+  std::map<std::pair<ColorId, std::string>, std::vector<NodeId>> tags;
+  // (tag, own content) -> colored elements, by node id.
+  std::map<std::pair<std::string, std::string>, std::vector<NodeId>> content;
+  // (attr name, value) -> colored elements, by node id.
+  std::map<std::pair<std::string, std::string>, std::vector<NodeId>> attrs;
+};
+
+IndexModel CaptureModel(const MctDatabase& db) {
+  IndexModel m;
+  std::set<NodeId> colored;
+  for (size_t c = 0; c < db.num_colors(); ++c) {
+    for (NodeId n : db.tree(static_cast<ColorId>(c))->PreOrder()) {
+      if (db.Kind(n) != xml::NodeKind::kElement) continue;
+      m.tags[{static_cast<ColorId>(c), db.Tag(n)}].push_back(n);
+      colored.insert(n);
+    }
+  }
+  for (NodeId n : colored) {  // ascending node id
+    if (db.store().HasContent(n)) {
+      m.content[{db.Tag(n), db.Content(n)}].push_back(n);
+    }
+    for (const NodeAttr& a : db.Attrs(n)) {
+      m.attrs[{db.store().names().Name(a.name), a.value}].push_back(n);
+    }
+  }
+  return m;
+}
+
+class IndexVersioningProperty : public testing::TestWithParam<uint64_t> {
+ protected:
+  static constexpr int kColors = 3;
+  static constexpr int kTags = 4;
+  static constexpr int kValues = 6;
+
+  static std::string TagName(uint64_t i) { return "t" + std::to_string(i); }
+  static std::string Value(uint64_t i) { return "v" + std::to_string(i); }
+  static std::string AttrName(uint64_t i) { return "a" + std::to_string(i); }
+
+  // Every probe the generator's vocabulary allows, absent keys included.
+  static void ExpectMatches(MctDatabase& db, const IndexModel& m,
+                            const std::string& what) {
+    auto get = [](const auto& map, const auto& key) {
+      auto it = map.find(key);
+      return it == map.end() ? std::vector<NodeId>{} : it->second;
+    };
+    for (ColorId c = 0; c < kColors; ++c) {
+      for (int t = 0; t < kTags; ++t) {
+        std::vector<NodeId> want = get(m.tags, std::pair{c, TagName(t)});
+        EXPECT_EQ(db.TagScan(c, TagName(t)), want)
+            << what << " TagScan c" << static_cast<int>(c) << " " << TagName(t);
+        EXPECT_EQ(db.TagCount(c, TagName(t)), want.size())
+            << what << " TagCount c" << static_cast<int>(c) << " " << TagName(t);
+      }
+    }
+    for (int v = 0; v < kValues; ++v) {
+      for (int t = 0; t < kTags; ++t) {
+        EXPECT_EQ(db.ContentLookup(TagName(t), Value(v)),
+                  get(m.content, std::pair{TagName(t), Value(v)}))
+            << what << " ContentLookup " << TagName(t) << "=" << Value(v);
+      }
+      for (int a = 0; a < 2; ++a) {
+        EXPECT_EQ(db.AttrLookup(AttrName(a), Value(v)),
+                  get(m.attrs, std::pair{AttrName(a), Value(v)}))
+            << what << " AttrLookup " << AttrName(a) << "=" << Value(v);
+      }
+    }
+  }
+};
+
+// Writes to the newest clone of a version chain never show through in an
+// older version, whether the write copied a shared shard and posting list
+// or (once the versions sharing them were dropped) mutated them in place.
+TEST_P(IndexVersioningProperty, OlderVersionsKeepTheirIndexes) {
+  Rng rng(GetParam());
+  struct Version {
+    std::unique_ptr<MctDatabase> db;
+    IndexModel model;
+  };
+  std::vector<Version> frozen;
+  auto newest = std::make_unique<MctDatabase>();
+  for (int c = 0; c < kColors; ++c) {
+    ASSERT_TRUE(newest->RegisterColor("c" + std::to_string(c)).ok());
+  }
+  for (int step = 0; step < 240; ++step) {
+    if (step % 6 == 0) {
+      // Freeze the newest version (labels too, as publishing does) and
+      // keep writing to a clone of it.
+      for (ColorId c = 0; c < kColors; ++c) newest->tree(c)->EnsureLabels();
+      std::unique_ptr<MctDatabase> next =
+          newest->CowClone(/*write_through=*/true);
+      IndexModel model = CaptureModel(*newest);
+      frozen.push_back({std::move(newest), std::move(model)});
+      newest = std::move(next);
+      // Retire a random older version now and then, so later writes find
+      // shards and posting lists this chain owns alone.
+      if (frozen.size() > 3 && rng.Bernoulli(0.3)) {
+        frozen.erase(frozen.begin() +
+                     static_cast<std::ptrdiff_t>(rng.Uniform(frozen.size())));
+      }
+    }
+    ColorId c = static_cast<ColorId>(rng.Uniform(kColors));
+    std::vector<NodeId> members = newest->tree(c)->PreOrder();
+    NodeId pick = members[rng.Uniform(members.size())];
+    switch (rng.Uniform(5)) {
+      case 0:
+      case 1: {
+        auto n = newest->CreateElement(c, pick, TagName(rng.Uniform(kTags)));
+        ASSERT_TRUE(n.ok());
+        if (rng.Bernoulli(0.5)) {
+          ASSERT_TRUE(newest->SetContent(*n, Value(rng.Uniform(kValues))).ok());
+        }
+        break;
+      }
+      case 2:
+        if (pick != newest->document()) {
+          ASSERT_TRUE(
+              newest->SetContent(pick, Value(rng.Uniform(kValues))).ok());
+        }
+        break;
+      case 3:
+        if (pick != newest->document()) {
+          ASSERT_TRUE(newest
+                          ->SetAttr(pick, AttrName(rng.Uniform(2)),
+                                    Value(rng.Uniform(kValues)))
+                          .ok());
+        }
+        break;
+      case 4:
+        // Keep the trees populated: detach only small subtrees.
+        if (pick != newest->document() &&
+            newest->tree(c)->PreOrder(pick).size() <= 3) {
+          ASSERT_TRUE(newest->RemoveNodeColor(pick, c).ok());
+        }
+        break;
+    }
+    ExpectMatches(*newest, CaptureModel(*newest),
+                  "step " + std::to_string(step) + " newest");
+    for (size_t v = 0; v < frozen.size(); ++v) {
+      ExpectMatches(*frozen[v].db, frozen[v].model,
+                    "step " + std::to_string(step) + " frozen #" +
+                        std::to_string(v));
+    }
+    if (HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IndexVersioningProperty,
+                         testing::Values(5u, 17u, 29u));
+
+// A write to a clone copies the one shard and posting list it touches, not
+// the image: on 20,000 distinct content values one SetContent copies well
+// under 1% of the entries.
+TEST(IndexCopyVolumeTest, CloneWriteCopiesOneShardNotTheImage) {
+  constexpr int kDistinct = 20000;
+  Counter* copied =
+      MetricsRegistry::Global().counter("mct.index.image_copied_entries");
+  MctDatabase db;
+  ColorId red = *db.RegisterColor("red");
+  NodeId list = MustCreate(db, red, db.document(), "list");
+  uint64_t before_load = copied->value();
+  NodeId first = kInvalidNodeId;
+  for (int i = 0; i < kDistinct; ++i) {
+    NodeId n = MustCreate(db, red, list, "item", "value-" + std::to_string(i));
+    if (first == kInvalidNodeId) first = n;
+  }
+  // A version that owns its images alone loads without copying.
+  EXPECT_EQ(copied->value(), before_load);
+
+  std::unique_ptr<MctDatabase> clone = db.CowClone(/*write_through=*/false);
+  uint64_t before = copied->value();
+  ASSERT_TRUE(clone->SetContent(first, "changed").ok());
+  uint64_t entries = copied->value() - before;
+  // The shards are shared with `db`, so the write must copy something.
+  EXPECT_GT(entries, 0u);
+  EXPECT_LT(entries, kDistinct / 100u);
+
+  EXPECT_EQ(clone->ContentLookup("item", "changed"),
+            std::vector<NodeId>{first});
+  EXPECT_TRUE(clone->ContentLookup("item", "value-0").empty());
+  EXPECT_EQ(db.ContentLookup("item", "value-0"), std::vector<NodeId>{first});
+  EXPECT_TRUE(db.ContentLookup("item", "changed").empty());
+}
 
 }  // namespace
 }  // namespace mct
